@@ -18,7 +18,10 @@
 // once), timed-out ones "TIMEOUT". Because answers are printed in
 // input order, line mode is drop-in comparable with a single
 // hubserve's output: diff the two to check a fleet serves exactly what
-// one node serves.
+// one node serves. Consecutive distance lines that arrive together (a
+// file or a pipe on stdin) are sent as one batch frame — one round trip
+// per run of up to 64 instead of one per line — with the same answer
+// lines; a line typed on its own is answered on its own.
 //
 // Flood mode (-flood n) issues n random distance queries over [0,
 // -vertices) from -concurrency workers and reports throughput plus an
@@ -33,6 +36,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -94,44 +98,127 @@ func run() error {
 	return serveLines(cl, os.Stdin, os.Stdout)
 }
 
+// maxRun bounds the distance lines answered as one batch: one frame at
+// the client's default MaxBatch. A longer run would park more of this
+// caller's queries in a replica's shard queues at once than any single
+// frame does.
+const maxRun = 64
+
+// distRun is a run of consecutive distance lines awaiting one
+// DistanceBatch, with its reusable answer storage.
+type distRun struct {
+	lines [][2]int // the ids as typed, echoed in the answers
+	pairs [][2]graph.NodeID
+	out   []graph.Weight
+	errs  []error
+}
+
+// flush answers the run as one batch, in input order, with the same
+// lines a query at a time would have produced.
+func (r *distRun) flush(cl *hubclient.Client, w io.Writer) {
+	if len(r.lines) == 0 {
+		return
+	}
+	r.pairs = r.pairs[:0]
+	for _, l := range r.lines {
+		r.pairs = append(r.pairs, [2]graph.NodeID{graph.NodeID(l[0]), graph.NodeID(l[1])})
+	}
+	if cap(r.out) < len(r.pairs) {
+		r.out = make([]graph.Weight, maxRun)
+		r.errs = make([]error, maxRun)
+	}
+	cl.DistanceBatch(r.pairs, r.out, r.errs)
+	for k, l := range r.lines {
+		switch {
+		case failLine(w, r.errs[k]):
+		case r.out[k] >= graph.Infinity:
+			fmt.Fprintf(w, "%d %d inf\n", l[0], l[1])
+		default:
+			fmt.Fprintf(w, "%d %d %d\n", l[0], l[1], r.out[k])
+		}
+	}
+	r.lines = r.lines[:0]
+}
+
+// lineBuffered reports whether a whole line is already in br's buffer,
+// so the next read cannot block.
+func lineBuffered(br *bufio.Reader) bool {
+	b, _ := br.Peek(br.Buffered())
+	return bytes.IndexByte(b, '\n') >= 0
+}
+
 // serveLines answers query lines from in until EOF or "quit", in input
 // order, with the same grammar and answer lines as hubserve's line
 // door — so a fleet's answers diff cleanly against a single node's.
+// Consecutive distance lines that are already buffered travel as one
+// batch (one round trip instead of one per line); the run is answered
+// before any read that could block, so an interactive caller waits for
+// nothing but its own query.
 func serveLines(cl *hubclient.Client, in io.Reader, out io.Writer) error {
 	w := bufio.NewWriter(out)
 	defer w.Flush()
-	sc := bufio.NewScanner(in)
+	br := bufio.NewReaderSize(in, 64<<10)
 	var pathBuf []graph.NodeID
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
+	var run distRun
+	for {
+		if len(run.lines) > 0 && (len(run.lines) == maxRun || !lineBuffered(br)) {
+			run.flush(cl, w)
+			if err := w.Flush(); err != nil {
+				return err
+			}
 		}
+		line, rerr := br.ReadString('\n')
+		if rerr != nil && rerr != io.EOF {
+			return rerr
+		}
+		line = strings.TrimSuffix(strings.TrimSuffix(line, "\n"), "\r")
 		if line == "quit" {
 			break
 		}
-		pathBuf = serveLine(cl, line, pathBuf, w)
-		if err := w.Flush(); err != nil {
-			return err
+		if line != "" {
+			fields := strings.Fields(line)
+			if u, v, ok := distanceLine(fields); ok {
+				run.lines = append(run.lines, [2]int{u, v})
+			} else {
+				run.flush(cl, w)
+				pathBuf = serveLine(cl, line, fields, pathBuf, w)
+				if err := w.Flush(); err != nil {
+					return err
+				}
+			}
+		}
+		if rerr == io.EOF {
+			break
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
+	run.flush(cl, w)
 	st := cl.Stats()
 	fmt.Fprintf(os.Stderr, "hubq: %d queries in %d frames (%d retries, %d hedges, %d hedge wins, %d pool-exhausted, %d transport errors)\n",
 		st.Queries, st.Frames, st.Retries, st.Hedges, st.HedgeWins, st.PoolExhausted, st.TransportErrors)
 	return nil
 }
 
-// serveLine parses and answers one protocol line, returning the
-// (possibly regrown) path buffer for reuse.
-func serveLine(cl *hubclient.Client, line string, pathBuf []graph.NodeID, w io.Writer) []graph.NodeID {
-	fields := strings.Fields(line)
-	atoi := func(s string) (int, bool) {
-		x, err := strconv.Atoi(s)
-		return x, err == nil && x >= 0
+// atoi parses a vertex id: a non-negative decimal.
+func atoi(s string) (int, bool) {
+	x, err := strconv.Atoi(s)
+	return x, err == nil && x >= 0
+}
+
+// distanceLine reports whether fields are a well-formed "u v" distance
+// query.
+func distanceLine(fields []string) (u, v int, ok bool) {
+	if len(fields) != 2 || fields[0] == "ECC" {
+		return 0, 0, false
 	}
+	u, okU := atoi(fields[0])
+	v, okV := atoi(fields[1])
+	return u, v, okU && okV
+}
+
+// serveLine parses and answers one protocol line that is not a
+// well-formed distance query (those travel in runs), returning the
+// (possibly regrown) path buffer for reuse.
+func serveLine(cl *hubclient.Client, line string, fields []string, pathBuf []graph.NodeID, w io.Writer) []graph.NodeID {
 	switch {
 	case len(fields) == 3 && fields[0] == "PATH":
 		u, okU := atoi(fields[1])
@@ -164,20 +251,7 @@ func serveLine(cl *hubclient.Client, line string, pathBuf []graph.NodeID, w io.W
 			fmt.Fprintf(w, "ecc %d %d %d\n", v, ecc, far)
 		}
 	case len(fields) == 2:
-		u, okU := atoi(fields[0])
-		v, okV := atoi(fields[1])
-		if !okU || !okV {
-			fmt.Fprintf(w, "error: bad query %q (want: u v)\n", line)
-			return pathBuf
-		}
-		d, err := cl.Distance(graph.NodeID(u), graph.NodeID(v))
-		switch {
-		case failLine(w, err):
-		case d >= graph.Infinity:
-			fmt.Fprintf(w, "%d %d inf\n", u, v)
-		default:
-			fmt.Fprintf(w, "%d %d %d\n", u, v, d)
-		}
+		fmt.Fprintf(w, "error: bad query %q (want: u v)\n", line)
 	default:
 		fmt.Fprintf(w, "error: bad query %q (want: u v | PATH u v | ECC v)\n", line)
 	}

@@ -1,20 +1,29 @@
 // Package hubclient is the Go client of the binary serving protocol
-// (internal/wire): connection pooling per replica, automatic batching
-// of concurrent requests into multi-query frames, per-request
-// deadlines, and hedged retries across a replica set.
+// (internal/wire): connection pooling per replica, frame-native
+// batching, per-request deadlines, and hedged retries across a replica
+// set.
 //
-// Concurrency is the batching mechanism: every in-flight request joins
-// its replica's collector queue, and the collector drains whatever is
-// queued — up to Options.MaxBatch — into one frame. A single caller
-// pays one frame per query; a thousand concurrent callers pay ~1/1000th
-// of the framing and syscall cost each, with no explicit batch API
-// needed (DistanceBatch is a convenience that fans out and joins).
+// The unit that travels through the client is the submission: the slab
+// of queries one caller handed over in one call — a whole DistanceBatch,
+// or the batch of one behind Distance, Path and Eccentricity. A
+// submission joins its replica's collector queue as one item. The
+// collector packs queued submissions into frames — whole, splitting
+// only at Options.MaxBatch, and coalescing whatever other callers
+// queued meanwhile into the same frame — and the caller is woken once,
+// by whichever resolution drops the submission's countdown to zero. A
+// 16-pair DistanceBatch on an idle client is one queue hand-off, one
+// frame, one write, one reply parse and one wake; a thousand concurrent
+// single callers still pay ~1/1000th of the framing and syscall cost
+// each.
 //
-// Every request resolves exactly once. A request may be in flight on
-// two replicas at a time (a hedge fired, or a retry raced a slow first
-// attempt); whichever answer arrives first wins an atomic CAS and later
-// answers are dropped and counted (Stats.LateDrops) — never delivered
-// twice, never silently lost.
+// Every guarantee is kept per query, not per submission. A query
+// resolves exactly once: it may be in flight on two replicas at a time
+// (a hedge fired, or a retry raced a slow first attempt); whichever
+// answer arrives first wins an atomic CAS and later answers are dropped
+// and counted (Stats.LateDrops) — never delivered twice, never silently
+// lost. Statuses and errors are per query, failover re-sends only the
+// queries that failed retryably, a hedge duplicates only the queries
+// still pending, and the deadline fails exactly those.
 package hubclient
 
 import (
@@ -79,9 +88,10 @@ type Options struct {
 	// MaxBatch bounds queries per frame (default 64, capped at
 	// wire.MaxBatch).
 	MaxBatch int
-	// QueueDepth is the per-replica collector queue (default 256). When
-	// every live replica's queue is full, requests answer
-	// ErrPoolExhausted immediately.
+	// QueueDepth is the per-replica collector queue, counted in
+	// submissions: a DistanceBatch of any size occupies one slot, as does
+	// a single query (default 256). When every live replica's queue is
+	// full, the submission's queries answer ErrPoolExhausted immediately.
 	QueueDepth int
 	// Timeout is the per-request end-to-end deadline (default 2s).
 	Timeout time.Duration
@@ -103,15 +113,17 @@ type Stats struct {
 	// Queries counts requests resolved (any outcome); Frames the request
 	// frames written. Queries/Frames is the achieved batching factor.
 	Queries, Frames uint64
-	// Retries counts failovers after a retryable error; Hedges counts
-	// hedge submissions, HedgeWins the requests a hedge answered first.
+	// Retries counts queries failed over after a retryable error; Hedges
+	// counts hedge copies packed into frames, HedgeWins the queries a
+	// hedge answered first.
 	Retries, Hedges, HedgeWins uint64
 	// LateDrops counts answers that lost the exactly-once race (the
 	// request had already resolved — by the other attempt, the deadline,
 	// or a transport verdict).
 	LateDrops uint64
 	// PoolExhausted counts requests refused with ErrPoolExhausted;
-	// TransportErrors counts connection-level failures observed.
+	// TransportErrors counts connection-level failures observed: one per
+	// failed dial, one per connection that died.
 	PoolExhausted, TransportErrors uint64
 }
 
@@ -205,7 +217,9 @@ func (c *Client) Close() {
 		for {
 			select {
 			case att := <-rep.submit:
-				att.cl.failAttempt(c, ErrClientClosed)
+				for i := range att.sub.calls {
+					att.sub.calls[i].failAttempt(ErrClientClosed)
+				}
 			default:
 				goto next
 			}
@@ -230,49 +244,62 @@ func (c *Client) Stats() Stats {
 
 // Distance asks the fleet for the exact distance u–v.
 func (c *Client) Distance(u, v graph.NodeID) (graph.Weight, error) {
-	r, err := c.do(wire.Query{Kind: wire.QDist, U: u, V: v})
-	if err != nil {
-		return graph.Infinity, err
+	cl := c.one(wire.Query{Kind: wire.QDist, U: u, V: v})
+	if cl.err != nil {
+		return graph.Infinity, cl.err
 	}
-	return r.Dist, nil
+	return cl.res.Dist, nil
 }
 
 // Path asks for a witness path u→v, appended to dst (nothing appended
 // for unreachable pairs).
 func (c *Client) Path(u, v graph.NodeID, dst []graph.NodeID) ([]graph.NodeID, error) {
-	r, err := c.do(wire.Query{Kind: wire.QPath, U: u, V: v})
-	if err != nil {
-		return dst, err
+	cl := c.one(wire.Query{Kind: wire.QPath, U: u, V: v})
+	if cl.err != nil {
+		return dst, cl.err
 	}
-	return append(dst, r.Path...), nil
+	return append(dst, cl.res.Path...), nil
 }
 
 // Eccentricity asks for v's eccentricity and the farthest vertex
 // attaining it.
 func (c *Client) Eccentricity(v graph.NodeID) (graph.NodeID, graph.Weight, error) {
-	r, err := c.do(wire.Query{Kind: wire.QEcc, U: v})
-	if err != nil {
-		return -1, graph.Infinity, err
+	cl := c.one(wire.Query{Kind: wire.QEcc, U: v})
+	if cl.err != nil {
+		return -1, graph.Infinity, cl.err
 	}
-	return r.Far, r.Dist, nil
+	return cl.res.Far, cl.res.Dist, nil
 }
 
 // DistanceBatch resolves pairs[k] into out[k] with per-pair errors in
-// errs[k], fanning the pairs out as concurrent requests (which the
-// collectors coalesce into frames) and joining them all.
+// errs[k]. The batch travels as one submission: on an idle client, up
+// to Options.MaxBatch pairs are one frame and one wake of the caller.
 func (c *Client) DistanceBatch(pairs [][2]graph.NodeID, out []graph.Weight, errs []error) {
 	if len(out) < len(pairs) || len(errs) < len(pairs) {
 		panic("hubclient: DistanceBatch out/errs shorter than pairs")
 	}
-	var wg sync.WaitGroup
-	for i := range pairs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out[i], errs[i] = c.Distance(pairs[i][0], pairs[i][1])
-		}(i)
+	if len(pairs) == 0 {
+		return
 	}
-	wg.Wait()
+	calls := make([]call, len(pairs))
+	for i, p := range pairs {
+		calls[i].q = wire.Query{Kind: wire.QDist, U: p[0], V: p[1]}
+	}
+	c.run(calls)
+	for i := range calls {
+		out[i], errs[i] = calls[i].res.Dist, calls[i].err
+		if errs[i] != nil {
+			out[i] = graph.Infinity
+		}
+	}
+}
+
+// one runs a single query as the submission of one.
+func (c *Client) one(q wire.Query) *call {
+	calls := make([]call, 1)
+	calls[0].q = q
+	c.run(calls)
+	return &calls[0]
 }
 
 // Request lifecycle states (call.state).
@@ -281,10 +308,11 @@ const (
 	callDone
 )
 
-// call is one in-flight request. It resolves exactly once: answers,
-// transport verdicts and the client deadline all race on one CAS from
-// callPending, and only the winner writes the result fields (before
-// signaling done, so the waiter reads them race-free).
+// call is one in-flight query, a slot of its submission's slab. It
+// resolves exactly once: answers, transport verdicts and the client
+// deadline all race on one CAS from callPending, and only the winner
+// writes the result fields (before counting the submission down, so the
+// waiter reads them race-free).
 type call struct {
 	q     wire.Query
 	res   wire.Result
@@ -296,66 +324,105 @@ type call struct {
 	attempts atomic.Int32
 	// hedgeWon marks resolution by a hedge attempt (Stats.HedgeWins).
 	hedgeWon bool
-	done     chan struct{}
+	sub      *submission
 }
 
-// attempt is one submission of a call to one replica; hedge marks the
-// speculative second copy.
+// submission is the unit a caller hands the collectors: a slab of calls
+// joined by one countdown. Whichever resolution drops pending to zero
+// sends on done — one wake per submission, whatever its size.
+type submission struct {
+	calls   []call
+	pending atomic.Int32
+	done    chan struct{}
+}
+
+func newSubmission(calls []call) *submission {
+	sub := &submission{calls: calls, done: make(chan struct{}, 1)}
+	sub.pending.Store(int32(len(calls)))
+	for i := range calls {
+		calls[i].sub = sub
+	}
+	return sub
+}
+
+// attempt is one hand-off of a submission to one replica; hedge marks
+// the speculative second copy. The collector packs only the calls still
+// pending when it gets to them, so a hedge or a hand-off that sat in the
+// queue duplicates nothing already answered.
 type attempt struct {
-	cl    *call
+	sub   *submission
 	hedge bool
 }
 
-// complete resolves the call with a replica's answer. Reports whether
-// this resolution won the exactly-once race.
-func (cl *call) complete(c *Client, res wire.Result, hedge bool) bool {
+// settle is the exactly-once gate: the first resolution of a call wins
+// the CAS, writes the outcome and counts the submission down. Reports
+// whether this resolution won.
+func (cl *call) settle(res wire.Result, err error, hedge bool) bool {
 	if !cl.state.CompareAndSwap(callPending, callDone) {
-		c.lateDrops.Add(1)
 		return false
 	}
-	cl.res = res
-	cl.err = wire.StatusError(res.Status)
-	cl.hedgeWon = hedge
-	cl.done <- struct{}{}
+	cl.res, cl.err, cl.hedgeWon = res, err, hedge
+	if cl.sub.pending.Add(-1) == 0 {
+		cl.sub.done <- struct{}{}
+	}
 	return true
 }
 
-// fail resolves the call with a client-side error.
-func (cl *call) fail(c *Client, err error) bool {
-	if !cl.state.CompareAndSwap(callPending, callDone) {
+// complete resolves the call with a replica's answer and retires the
+// attempt that carried it. An answer that lost the exactly-once race is
+// dropped and counted.
+func (cl *call) complete(c *Client, res wire.Result, hedge bool) {
+	if !cl.settle(res, wire.StatusError(res.Status), hedge) {
 		c.lateDrops.Add(1)
-		return false
 	}
-	cl.err = err
-	cl.done <- struct{}{}
-	return true
+	cl.attempts.Add(-1)
 }
 
-// failAttempt records that one submission of this call died in
-// transport. The call resolves only when no other attempt remains in
-// flight.
-func (cl *call) failAttempt(c *Client, err error) {
-	if cl.attempts.Add(-1) > 0 {
-		return
+// failAttempt records that one attempt on this call died in transport
+// (err is already a transport or client-closed error). The call resolves
+// only when no other attempt remains in flight.
+func (cl *call) failAttempt(err error) {
+	if cl.attempts.Add(-1) == 0 {
+		cl.settle(wire.Result{}, err, false)
 	}
+}
+
+// asTransport marks err as a connection-level failure, retryable on
+// another replica.
+func asTransport(err error) error {
 	var te *transportError
-	if !errors.As(err, &te) && !errors.Is(err, ErrClientClosed) {
-		err = &transportError{err: err}
+	if errors.As(err, &te) || errors.Is(err, ErrClientClosed) {
+		return err
 	}
-	cl.fail(c, err)
+	return &transportError{err: err}
 }
 
-// do runs one request end to end: submit, await, hedge, fail over.
-func (c *Client) do(q wire.Query) (wire.Result, error) {
-	defer c.queries.Add(1)
-	if c.closed.Load() {
-		return wire.Result{}, ErrClientClosed
+// run drives one submission end to end — submit, await, hedge, fail
+// over — and returns with every call of the slab resolved into its res
+// and err fields. It is the only request path: the single-query verbs
+// run a slab of one.
+func (c *Client) run(calls []call) {
+	n := uint64(len(calls))
+	defer c.queries.Add(n)
+	sub := newSubmission(calls)
+	// A negative id cannot be framed. Answer it here: left in, the
+	// encoder would refuse the whole frame it rode in, frame-mates and
+	// all.
+	for i := range calls {
+		if q := &calls[i].q; q.U < 0 || (q.Kind != wire.QEcc && q.V < 0) {
+			calls[i].settle(wire.Result{}, wire.ErrBadRequest, false)
+		}
 	}
-	cl := &call{q: q, done: make(chan struct{}, 1)}
 	start := int(c.rr.Add(1) % uint64(len(c.reps)))
 	tried := 0
-	if err := c.submit(cl, start, &tried, false); err != nil {
-		return wire.Result{}, err
+	if err := c.submit(sub, start, &tried, false); err != nil {
+		if errors.Is(err, ErrPoolExhausted) {
+			c.poolExhausted.Add(n)
+		}
+		for i := range calls {
+			calls[i].settle(wire.Result{}, err, false)
+		}
+		return
 	}
 	deadline := time.NewTimer(c.opts.Timeout)
 	defer deadline.Stop()
@@ -365,61 +432,85 @@ func (c *Client) do(q wire.Query) (wire.Result, error) {
 		defer ht.Stop()
 		hedge = ht.C
 	}
+	// back maps a failover round's slab onto the caller's: sub.calls[k]
+	// re-asks calls[back[k]]. Nil on the first round, whose slab is the
+	// caller's own.
+	var back []int
+	expired := false
 	for {
 		select {
-		case <-cl.done:
-			err := cl.err
-			if err != nil && retryable(err) && tried < len(c.reps) {
-				// The replica never answered (transport) or announced
-				// shutdown — fail over with a fresh call. The old one is
-				// abandoned: a hedge still out on it resolves into the
-				// dead envelope and is dropped, never racing the retry's
-				// state machine.
-				cl = &call{q: q, done: make(chan struct{}, 1)}
-				if serr := c.submit(cl, start, &tried, false); serr != nil {
-					return wire.Result{}, err // report the original failure
-				}
-				c.retries.Add(1)
-				continue
-			}
-			if err != nil {
-				return wire.Result{}, err
-			}
-			if cl.hedgeWon {
-				c.hedgeWins.Add(1)
-			}
-			return cl.res, nil
+		case <-sub.done:
 		case <-hedge:
 			hedge = nil
 			if tried < len(c.reps) {
-				if err := c.submit(cl, start, &tried, true); err == nil {
-					c.hedges.Add(1)
-				}
+				// Best effort: a hedge no replica has room for is not sent.
+				_ = c.submit(sub, start, &tried, true)
 			}
+			continue
 		case <-deadline.C:
-			if cl.fail(c, ErrDeadline) {
-				return wire.Result{}, ErrDeadline
+			expired = true
+			for i := range sub.calls {
+				sub.calls[i].settle(wire.Result{}, ErrDeadline, false)
 			}
-			// Lost to a concurrent resolution: take that answer.
-			<-cl.done
-			if cl.err != nil {
-				return wire.Result{}, cl.err
+			// Calls that lost to a concurrent resolution keep that
+			// answer; their resolvers finish the countdown.
+			<-sub.done
+		}
+		for k, orig := range back {
+			from, to := &sub.calls[k], &calls[orig]
+			to.res, to.err, to.hedgeWon = from.res, from.err, from.hedgeWon
+		}
+		if expired || tried >= len(c.reps) {
+			break
+		}
+		// Fail over the calls whose replica never answered (transport) or
+		// announced shutdown — only those, as fresh calls. The old ones
+		// are abandoned: a hedge still out on them resolves into a dead
+		// slab and is dropped, never racing the retry's state machine.
+		var next []call
+		var nextBack []int
+		for k := range sub.calls {
+			if cl := &sub.calls[k]; cl.err != nil && retryable(cl.err) {
+				orig := k
+				if back != nil {
+					orig = back[k]
+				}
+				next = append(next, call{q: cl.q})
+				nextBack = append(nextBack, orig)
 			}
-			if cl.hedgeWon {
+		}
+		if len(next) == 0 {
+			break
+		}
+		nsub := newSubmission(next)
+		if c.submit(nsub, start, &tried, false) != nil {
+			break // the calls keep their original failures
+		}
+		c.retries.Add(uint64(len(next)))
+		sub, back = nsub, nextBack
+	}
+	if c.opts.HedgeAfter > 0 {
+		for i := range calls {
+			if calls[i].err == nil && calls[i].hedgeWon {
 				c.hedgeWins.Add(1)
 			}
-			return cl.res, nil
 		}
 	}
 }
 
-// submit enqueues the call on the next live replica after start+tried,
-// walking the ring until one accepts. Live replicas with full queues
-// count toward pool exhaustion; a ring with no live replica at all is
-// ErrNoReplicas.
-func (c *Client) submit(cl *call, start int, tried *int, hedge bool) error {
+// submit hands the submission to the next live replica after
+// start+tried, walking the ring until one accepts. Live replicas with
+// full queues make the verdict ErrPoolExhausted; a ring with no live
+// replica at all is ErrNoReplicas.
+func (c *Client) submit(sub *submission, start int, tried *int, hedge bool) error {
 	if c.closed.Load() {
 		return ErrClientClosed
+	}
+	// Count the attempt on every call before the hand-off: the collector
+	// may pack the submission, and a reply retire the attempt, before the
+	// send below returns.
+	for i := range sub.calls {
+		sub.calls[i].attempts.Add(1)
 	}
 	sawLive := false
 	for ; *tried < len(c.reps); *tried++ {
@@ -428,24 +519,24 @@ func (c *Client) submit(cl *call, start int, tried *int, hedge bool) error {
 			continue
 		}
 		sawLive = true
-		cl.attempts.Add(1)
 		select {
-		case rep.submit <- attempt{cl: cl, hedge: hedge}:
+		case rep.submit <- attempt{sub: sub, hedge: hedge}:
 			*tried++
 			return nil
 		default:
-			cl.attempts.Add(-1)
 		}
 	}
+	for i := range sub.calls {
+		sub.calls[i].attempts.Add(-1)
+	}
 	if sawLive {
-		c.poolExhausted.Add(1)
 		return ErrPoolExhausted
 	}
 	return ErrNoReplicas
 }
 
 // replica is one member of the replica set: a collector goroutine that
-// drains the submit queue into frames, and a small connection pool.
+// packs the submit queue into frames, and a small connection pool.
 type replica struct {
 	c      *Client
 	addr   string
@@ -456,6 +547,11 @@ type replica struct {
 	next  int
 
 	downUntil atomic.Int64 // UnixNano; 0 = up
+
+	// Packing state, owned by the collector goroutine: the frame being
+	// filled, and the encode buffer reused across frames.
+	open  *entry
+	frame []byte
 }
 
 func (rep *replica) isDown() bool {
@@ -467,52 +563,80 @@ func (rep *replica) markDown() {
 	rep.downUntil.Store(time.Now().Add(rep.c.opts.DownFor).UnixNano())
 }
 
-// collect is the replica's batching loop: block for one submission,
-// drain whatever else is queued (up to MaxBatch), ship one frame.
+// collect is the replica's batching loop: block for one submission, pack
+// it and whatever else is queued into frames, ship them. Full frames
+// leave as they fill; the last, partial one leaves as soon as the queue
+// is empty, so nothing waits for company that is not already there.
 func (rep *replica) collect() {
 	defer rep.c.wgCollect.Done()
-	batch := make([]attempt, 0, rep.c.opts.MaxBatch)
 	for {
 		select {
 		case <-rep.c.stop:
 			return
 		case att := <-rep.submit:
-			batch = append(batch[:0], att)
-		drain:
-			for len(batch) < rep.c.opts.MaxBatch {
-				select {
-				case att2 := <-rep.submit:
-					batch = append(batch, att2)
-				default:
-					break drain
-				}
+			rep.pack(att)
+		}
+		for queued := true; queued; {
+			select {
+			case att := <-rep.submit:
+				rep.pack(att)
+			default:
+				queued = false
 			}
-			rep.send(batch)
+		}
+		rep.flush()
+	}
+}
+
+// pack appends the submission's still-pending calls to the open frame,
+// shipping it whenever it reaches MaxBatch. Calls that resolved while
+// queued (the deadline, a faster hedge) are retired here — their slots
+// would only waste reply bytes.
+func (rep *replica) pack(att attempt) {
+	for i := range att.sub.calls {
+		cl := &att.sub.calls[i]
+		if cl.state.Load() != callPending {
+			cl.attempts.Add(-1)
+			continue
+		}
+		if rep.open == nil {
+			rep.open = entryPool.Get().(*entry)
+		}
+		e := rep.open
+		e.slots = append(e.slots, slot{cl: cl, hedge: att.hedge})
+		e.qs = append(e.qs, cl.q)
+		e.kinds = append(e.kinds, cl.q.Kind)
+		if att.hedge {
+			rep.c.hedges.Add(1)
+		}
+		if len(e.slots) == rep.c.opts.MaxBatch {
+			rep.flush()
 		}
 	}
 }
 
-// send ships one batch as a frame on a pooled connection. All attempt
-// accounting for the batch happens here or in sendBatch — each
-// submission is decremented exactly once on every path.
-func (rep *replica) send(batch []attempt) {
+// flush ships the open frame, if any, on a pooled connection. Every
+// attempt packed into it is retired exactly once on every path: by its
+// reply, by the connection's death, or here when no connection is to be
+// had.
+func (rep *replica) flush() {
+	e := rep.open
+	if e == nil {
+		return
+	}
+	rep.open = nil
 	rc, err := rep.conn()
 	if err != nil {
 		rep.c.transportErrs.Add(1)
 		rep.markDown()
-		for _, att := range batch {
-			att.cl.failAttempt(rep.c, err)
-		}
+		e.fail(err)
 		return
 	}
-	sent, err := rc.sendBatch(batch)
-	if err != nil {
-		rep.c.transportErrs.Add(1)
-		rc.kill(err)
-		return
-	}
-	if sent {
-		rep.c.frames.Add(1)
+	// Counted before the write, so a caller woken by the reply already
+	// sees its frame in Stats; a failed write takes it back.
+	rep.c.frames.Add(1)
+	if rc.send(e) != nil {
+		rep.c.frames.Add(^uint64(0))
 	}
 }
 
@@ -547,7 +671,7 @@ func (rep *replica) conn() (*rconn, error) {
 		rep:     rep,
 		nc:      nc,
 		bw:      bufio.NewWriterSize(nc, 32<<10),
-		pending: make(map[uint64]*batchEntry),
+		pending: make(map[uint64]*entry),
 	}
 	if name := rep.c.opts.Name; name != "" {
 		hello, herr := wire.AppendHello(nil, name)
@@ -567,83 +691,114 @@ func (rep *replica) conn() (*rconn, error) {
 	return rc, nil
 }
 
-// batchEntry is one outstanding frame on a connection: the submissions
-// it carries and their query kinds (the positional schema ParseReply
-// needs).
-type batchEntry struct {
-	atts  []attempt
+// slot is one query of a frame: the call it answers, and whether this
+// copy is the hedge.
+type slot struct {
+	cl    *call
+	hedge bool
+}
+
+// entry is one request frame's bookkeeping from packing until its reply
+// or its connection's death: the calls it carries, their queries in wire
+// form, and the query kinds (the positional schema ParseReply needs).
+// Entries are recycled through entryPool by whoever removes them from a
+// connection's pending map — ownership moves with that removal, so a
+// frame is answered or failed exactly once.
+type entry struct {
+	slots []slot
+	qs    []wire.Query
 	kinds []uint8
 }
 
-// rconn is one pooled connection: a write path under a mutex, a
-// pending-frame map, and a reader goroutine demultiplexing replies.
+var entryPool = sync.Pool{New: func() any { return new(entry) }}
+
+// release recycles the entry. The call pointers are cleared first: a
+// pooled entry must not pin a caller's slab.
+func (e *entry) release() {
+	clear(e.slots)
+	e.slots, e.qs, e.kinds = e.slots[:0], e.qs[:0], e.kinds[:0]
+	entryPool.Put(e)
+}
+
+// fail retires every attempt of the frame with a transport verdict and
+// recycles the entry.
+func (e *entry) fail(err error) {
+	err = asTransport(err)
+	for _, s := range e.slots {
+		s.cl.failAttempt(err)
+	}
+	e.release()
+}
+
+// rconn is one pooled connection: a write path used only by its
+// replica's collector goroutine, a pending-frame map, and a reader
+// goroutine demultiplexing replies.
 type rconn struct {
 	rep  *replica
 	nc   net.Conn
 	dead atomic.Bool
+	bw   *bufio.Writer
 
-	wmu sync.Mutex
-	bw  *bufio.Writer
+	nextID uint64 // last frame id issued; collector-owned like the write path
 
 	pmu     sync.Mutex
-	pending map[uint64]*batchEntry
-	nextID  uint64
+	pending map[uint64]*entry
 }
 
-// sendBatch registers the batch and writes its frame. Submissions whose
-// call already resolved (deadline, a faster hedge) are dropped here —
-// their slots would only waste reply bytes. Reports whether a frame was
-// written; on error the batch's attempts are already failed.
-func (rc *rconn) sendBatch(batch []attempt) (bool, error) {
-	entry := &batchEntry{}
-	for _, att := range batch {
-		if att.cl.state.Load() != callPending {
-			att.cl.attempts.Add(-1)
-			continue
-		}
-		entry.atts = append(entry.atts, att)
-		entry.kinds = append(entry.kinds, att.cl.q.Kind)
-	}
-	if len(entry.atts) == 0 {
-		return false, nil
-	}
-	rc.wmu.Lock()
-	defer rc.wmu.Unlock()
+// take removes and returns the pending frame id, or nil if someone else
+// already owns it.
+func (rc *rconn) take(id uint64) *entry {
 	rc.pmu.Lock()
+	e := rc.pending[id]
+	delete(rc.pending, id)
+	rc.pmu.Unlock()
+	return e
+}
+
+// send encodes the frame into the collector's buffer, registers it and
+// writes it; a failed write kills the connection. Once registered, the
+// entry belongs to whoever takes it out of pending — the reader, a kill,
+// or the error path here — so nothing below the registration touches it
+// otherwise.
+func (rc *rconn) send(e *entry) error {
 	rc.nextID++
 	id := rc.nextID & 0x7fffffff // wire ids are capped at MaxInt32
-	rc.pending[id] = entry
-	rc.pmu.Unlock()
-	qs := make([]wire.Query, len(entry.atts))
-	for i, att := range entry.atts {
-		qs[i] = att.cl.q
+	frame, err := wire.AppendRequest(rc.rep.frame[:0], id, e.qs)
+	rc.rep.frame = frame
+	if err != nil {
+		e.fail(err)
+		return err
 	}
+	rc.pmu.Lock()
+	rc.pending[id] = e
+	rc.pmu.Unlock()
 	// Bound the write so a stalled replica (reading nothing, TCP window
 	// shut) cannot wedge the collector goroutine forever.
 	_ = rc.nc.SetWriteDeadline(time.Now().Add(rc.rep.c.opts.Timeout))
-	frame, err := wire.AppendRequest(nil, id, qs)
-	if err == nil {
-		_, err = rc.bw.Write(frame)
-	}
-	if err == nil {
+	if _, err = rc.bw.Write(frame); err == nil {
 		err = rc.bw.Flush()
 	}
 	if err != nil {
-		rc.pmu.Lock()
-		delete(rc.pending, id)
-		rc.pmu.Unlock()
-		rc.failEntry(entry, err)
-		return false, err
+		// Kill first: it counts the dead connection (once) before any
+		// caller can wake on the failure, and fails every pending frame,
+		// this one included — unless a concurrent kill swept pending
+		// before the registration above, which the take covers.
+		rc.kill(err)
+		if e := rc.take(id); e != nil {
+			e.fail(err)
+		}
 	}
-	return true, nil
+	return err
 }
 
-// readLoop demultiplexes reply frames into their batch entries until
-// the connection dies, then fails every outstanding attempt.
+// readLoop demultiplexes reply frames into their entries until the
+// connection dies, then fails every outstanding attempt. The payload
+// buffer and the parsed results are reused across frames.
 func (rc *rconn) readLoop() {
 	defer rc.rep.c.wgConns.Done()
 	br := bufio.NewReaderSize(rc.nc, 32<<10)
 	var buf []byte
+	var rs []wire.Result
 	var readErr error
 	for {
 		kind, payload, err := wire.ReadFrame(br, &buf, rc.rep.c.opts.MaxFrame)
@@ -660,36 +815,31 @@ func (rc *rconn) readLoop() {
 			readErr = err
 			break
 		}
-		rc.pmu.Lock()
-		entry := rc.pending[id]
-		delete(rc.pending, id)
-		rc.pmu.Unlock()
-		if entry == nil {
+		e := rc.take(id)
+		if e == nil {
 			continue // reply to a frame we already gave up on
 		}
-		_, rs, err := wire.ParseReply(payload, entry.kinds, nil)
+		_, rs, err = wire.ParseReply(payload, e.kinds, rs[:0])
 		if err != nil {
 			readErr = err
-			rc.failEntry(entry, err)
+			e.fail(err)
 			break
 		}
-		for i, att := range entry.atts {
-			att.cl.complete(rc.rep.c, rs[i], att.hedge)
-			att.cl.attempts.Add(-1)
+		for i, s := range e.slots {
+			r := rs[i]
+			// rs keeps its path storage for the next frame; the call
+			// gets its own copy.
+			r.Path = append([]graph.NodeID(nil), r.Path...)
+			s.cl.complete(rc.rep.c, r, s.hedge)
 		}
+		e.release()
 	}
 	rc.kill(readErr)
 }
 
-// failEntry fails one batch entry's attempts.
-func (rc *rconn) failEntry(entry *batchEntry, err error) {
-	for _, att := range entry.atts {
-		att.cl.failAttempt(rc.rep.c, err)
-	}
-}
-
 // kill marks the connection dead, closes it, and fails every pending
-// frame. Idempotent.
+// frame. Idempotent: a connection's death is counted once, whoever
+// notices it first.
 func (rc *rconn) kill(err error) {
 	if rc.dead.Swap(true) {
 		return
@@ -702,13 +852,13 @@ func (rc *rconn) kill(err error) {
 	}
 	rc.nc.Close()
 	rc.pmu.Lock()
-	entries := make([]*batchEntry, 0, len(rc.pending))
+	entries := make([]*entry, 0, len(rc.pending))
 	for id, e := range rc.pending {
 		entries = append(entries, e)
 		delete(rc.pending, id)
 	}
 	rc.pmu.Unlock()
 	for _, e := range entries {
-		rc.failEntry(e, err)
+		e.fail(err)
 	}
 }
