@@ -643,7 +643,7 @@ func benchServer(b *testing.B, shards int) {
 	// Warm the request pool so steady state is measured.
 	for i := 0; i < 256; i++ {
 		p := pairs[i%len(pairs)]
-		srv.Query(p[0], p[1])
+		srv.TryQuery("bench", p[0], p[1])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -652,7 +652,7 @@ func benchServer(b *testing.B, shards int) {
 		for pb.Next() {
 			p := pairs[k%len(pairs)]
 			k++
-			srv.Query(p[0], p[1])
+			srv.TryQuery("bench", p[0], p[1])
 		}
 	})
 }
@@ -662,18 +662,18 @@ func BenchmarkE18ServerW2(b *testing.B) { benchServer(b, 2) }
 func BenchmarkE18ServerW4(b *testing.B) { benchServer(b, 4) }
 func BenchmarkE18ServerW8(b *testing.B) { benchServer(b, 8) }
 
-// BenchmarkE18ServerBatch measures the direct batch door of the service
-// (no shard hop): one 1024-pair QueryBatch per iteration, ns/op per
-// batch.
+// BenchmarkE18ServerBatch measures one 1024-pair group on the index type
+// the service holds (index.DistanceBatch, no shard hop), ns/op per
+// batch — the row the server's removed direct batch door used to
+// report; it only ever added a snapshot pin.
 func BenchmarkE18ServerBatch(b *testing.B) {
 	flat, _, pairs := benchQueryGraph10k(b)
-	srv := server.New(index.FromFlat(flat), server.Options{Shards: 1})
-	defer srv.Close()
+	idx := index.FromFlat(flat)
 	out := make([]graph.Weight, len(pairs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		srv.QueryBatch(pairs, out)
+		idx.DistanceBatch(pairs, out)
 	}
 }
 
@@ -1005,7 +1005,7 @@ func BenchmarkE22TryQueryFaultsOff(b *testing.B) {
 	defer srv.Close()
 	for i := 0; i < 256; i++ {
 		p := pairs[i%len(pairs)]
-		srv.Query(p[0], p[1])
+		srv.TryQuery("bench", p[0], p[1])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -1299,7 +1299,7 @@ func benchZipfServer(b *testing.B, idx index.Index, n int, alpha float64, hotCac
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := trace[i%len(trace)]
-		srv.Query(p[0], p[1])
+		srv.TryQuery("bench", p[0], p[1])
 	}
 	b.StopTimer()
 	if st := srv.Stats(); st.HotHits+st.HotMisses > 0 {

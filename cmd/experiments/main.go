@@ -814,7 +814,9 @@ func e18() error {
 				defer wg.Done()
 				for i := c; i < queries; i += clients {
 					p := pairs[i]
-					srv.Query(p[0], p[1])
+					// 2 clients per worker never fill a queue: every
+					// call is served, and Served below is the count.
+					_, _ = srv.TryQuery("e18", p[0], p[1])
 				}
 			}(c)
 		}
@@ -949,8 +951,8 @@ func e19() error {
 		// scheduler noise on a loaded box.
 		measured = 1500 * time.Millisecond
 	)
-	// Calibrate capacity: saturate the same server shape with blocking
-	// clients (sleep-based service time overshoots on a busy box, so the
+	// Calibrate capacity: saturate the same server shape with closed-loop
+	// clients, too few to fill a queue (sleep-based service time overshoots on a busy box, so the
 	// nominal shards/svc figure would be optimistic).
 	srv := server.New(e19Index(svc), server.Options{Shards: shards, QueueDepth: queue})
 	var calWG sync.WaitGroup
@@ -964,7 +966,7 @@ func e19() error {
 				case <-calStop:
 					return
 				default:
-					srv.Query(0, 1)
+					_, _ = srv.TryQuery("calibrate", 0, 1)
 				}
 			}
 		}()
@@ -1646,8 +1648,8 @@ func e22() error {
 		return fmt.Errorf("e22: only %d corrupt reloads, want >= 10", corruptReloads)
 	}
 	for i, p := range sample {
-		if d := srv.Query(p[0], p[1]); d != truth[i] {
-			return fmt.Errorf("e22: post-storm answer (%d,%d) = %d, want %d", p[0], p[1], d, truth[i])
+		if d, err := srv.TryQuery("e22-after", p[0], p[1]); err != nil || d != truth[i] {
+			return fmt.Errorf("e22: post-storm answer (%d,%d) = %d (%v), want %d", p[0], p[1], d, err, truth[i])
 		}
 	}
 	fmt.Printf("  answers: %d-pair pre-storm sample byte-identical after the storm\n", nSample)

@@ -15,10 +15,13 @@
 //
 // Overloaded requests answer "BUSY" (the fleet's admission controllers
 // rejected this client — with -peers gossip, on every replica at
-// once), timed-out ones "TIMEOUT". Because answers are printed in
-// input order, line mode is drop-in comparable with a single
-// hubserve's output: diff the two to check a fleet serves exactly what
-// one node serves. Consecutive distance lines that arrive together (a
+// once), timed-out ones "TIMEOUT". The grammar is internal/wire's
+// ParseLine / WriteAnswer — the very functions hubserve's line door
+// runs — and answers are printed in input order, so line mode is
+// drop-in comparable with a single hubserve's output: diff the two to
+// check a fleet serves exactly what one node serves.
+//
+// Consecutive distance lines that arrive together (a
 // file or a pipe on stdin) are sent as one batch frame — one round trip
 // per run of up to 64 instead of one per line — with the same answer
 // lines; a line typed on its own is answered on its own.
@@ -44,7 +47,6 @@ import (
 	"log"
 	"math/rand"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -104,10 +106,32 @@ func run() error {
 // frame does.
 const maxRun = 64
 
+// statusOf is the status a client-side error stands for: the replica's
+// own verdict when there is one, a timeout for the client's deadline,
+// StatusInternal for anything else (a transport failure, an exhausted
+// pool).
+func statusOf(err error) uint8 {
+	if errors.Is(err, hubclient.ErrDeadline) {
+		return wire.StatusTimeout
+	}
+	return wire.StatusOf(err)
+}
+
+// answer writes the answer line of q, resolved client-side to res and
+// err. A failure with no status of its own keeps its line in the shared
+// vocabulary; the cause goes to the log.
+func answer(w io.Writer, q wire.Query, res *wire.Result, err error) {
+	res.Status = statusOf(err)
+	if res.Status == wire.StatusInternal && !errors.Is(err, wire.ErrInternal) {
+		log.Printf("hubq: %v", err)
+	}
+	wire.WriteAnswer(w, q, res)
+}
+
 // distRun is a run of consecutive distance lines awaiting one
 // DistanceBatch, with its reusable answer storage.
 type distRun struct {
-	lines [][2]int // the ids as typed, echoed in the answers
+	qs    []wire.Query
 	pairs [][2]graph.NodeID
 	out   []graph.Weight
 	errs  []error
@@ -116,28 +140,22 @@ type distRun struct {
 // flush answers the run as one batch, in input order, with the same
 // lines a query at a time would have produced.
 func (r *distRun) flush(cl *hubclient.Client, w io.Writer) {
-	if len(r.lines) == 0 {
+	if len(r.qs) == 0 {
 		return
 	}
 	r.pairs = r.pairs[:0]
-	for _, l := range r.lines {
-		r.pairs = append(r.pairs, [2]graph.NodeID{graph.NodeID(l[0]), graph.NodeID(l[1])})
+	for _, q := range r.qs {
+		r.pairs = append(r.pairs, [2]graph.NodeID{q.U, q.V})
 	}
-	if cap(r.out) < len(r.pairs) {
+	if r.out == nil {
 		r.out = make([]graph.Weight, maxRun)
 		r.errs = make([]error, maxRun)
 	}
 	cl.DistanceBatch(r.pairs, r.out, r.errs)
-	for k, l := range r.lines {
-		switch {
-		case failLine(w, r.errs[k]):
-		case r.out[k] >= graph.Infinity:
-			fmt.Fprintf(w, "%d %d inf\n", l[0], l[1])
-		default:
-			fmt.Fprintf(w, "%d %d %d\n", l[0], l[1], r.out[k])
-		}
+	for k, q := range r.qs {
+		answer(w, q, &wire.Result{Dist: r.out[k]}, r.errs[k])
 	}
-	r.lines = r.lines[:0]
+	r.qs = r.qs[:0]
 }
 
 // lineBuffered reports whether a whole line is already in br's buffer,
@@ -161,7 +179,7 @@ func serveLines(cl *hubclient.Client, in io.Reader, out io.Writer) error {
 	var pathBuf []graph.NodeID
 	var run distRun
 	for {
-		if len(run.lines) > 0 && (len(run.lines) == maxRun || !lineBuffered(br)) {
+		if len(run.qs) > 0 && (len(run.qs) == maxRun || !lineBuffered(br)) {
 			run.flush(cl, w)
 			if err := w.Flush(); err != nil {
 				return err
@@ -176,12 +194,16 @@ func serveLines(cl *hubclient.Client, in io.Reader, out io.Writer) error {
 			break
 		}
 		if line != "" {
-			fields := strings.Fields(line)
-			if u, v, ok := distanceLine(fields); ok {
-				run.lines = append(run.lines, [2]int{u, v})
+			q, perr := wire.ParseLine(line)
+			if perr == nil && q.Kind == wire.QDist {
+				run.qs = append(run.qs, q)
 			} else {
 				run.flush(cl, w)
-				pathBuf = serveLine(cl, line, fields, pathBuf, w)
+				if perr != nil {
+					wire.WriteRejection(w, perr)
+				} else {
+					pathBuf = serveLine(cl, q, pathBuf, w)
+				}
 				if err := w.Flush(); err != nil {
 					return err
 				}
@@ -198,83 +220,20 @@ func serveLines(cl *hubclient.Client, in io.Reader, out io.Writer) error {
 	return nil
 }
 
-// atoi parses a vertex id: a non-negative decimal.
-func atoi(s string) (int, bool) {
-	x, err := strconv.Atoi(s)
-	return x, err == nil && x >= 0
-}
-
-// distanceLine reports whether fields are a well-formed "u v" distance
-// query.
-func distanceLine(fields []string) (u, v int, ok bool) {
-	if len(fields) != 2 || fields[0] == "ECC" {
-		return 0, 0, false
+// serveLine answers one path or eccentricity query (distance queries
+// travel in runs), returning the (possibly regrown) path buffer for
+// reuse.
+func serveLine(cl *hubclient.Client, q wire.Query, pathBuf []graph.NodeID, w io.Writer) []graph.NodeID {
+	var res wire.Result
+	var err error
+	if q.Kind == wire.QPath {
+		res.Path, err = cl.Path(q.U, q.V, pathBuf[:0])
+		pathBuf = res.Path
+	} else {
+		res.Far, res.Dist, err = cl.Eccentricity(q.U)
 	}
-	u, okU := atoi(fields[0])
-	v, okV := atoi(fields[1])
-	return u, v, okU && okV
-}
-
-// serveLine parses and answers one protocol line that is not a
-// well-formed distance query (those travel in runs), returning the
-// (possibly regrown) path buffer for reuse.
-func serveLine(cl *hubclient.Client, line string, fields []string, pathBuf []graph.NodeID, w io.Writer) []graph.NodeID {
-	switch {
-	case len(fields) == 3 && fields[0] == "PATH":
-		u, okU := atoi(fields[1])
-		v, okV := atoi(fields[2])
-		if !okU || !okV {
-			fmt.Fprintf(w, "error: bad query %q (want: PATH u v)\n", line)
-			return pathBuf
-		}
-		path, err := cl.Path(graph.NodeID(u), graph.NodeID(v), pathBuf[:0])
-		pathBuf = path
-		switch {
-		case failLine(w, err):
-		case len(path) == 0:
-			fmt.Fprintf(w, "path %d %d inf\n", u, v)
-		default:
-			fmt.Fprintf(w, "path %d %d", u, v)
-			for _, x := range path {
-				fmt.Fprintf(w, " %d", x)
-			}
-			fmt.Fprintf(w, "\n")
-		}
-	case len(fields) == 2 && fields[0] == "ECC":
-		v, okV := atoi(fields[1])
-		if !okV {
-			fmt.Fprintf(w, "error: bad query %q (want: ECC v)\n", line)
-			return pathBuf
-		}
-		far, ecc, err := cl.Eccentricity(graph.NodeID(v))
-		if !failLine(w, err) {
-			fmt.Fprintf(w, "ecc %d %d %d\n", v, ecc, far)
-		}
-	case len(fields) == 2:
-		fmt.Fprintf(w, "error: bad query %q (want: u v)\n", line)
-	default:
-		fmt.Fprintf(w, "error: bad query %q (want: u v | PATH u v | ECC v)\n", line)
-	}
+	answer(w, q, &res, err)
 	return pathBuf
-}
-
-// failLine writes the answer line for a failed query and reports
-// whether err was non-nil. The BUSY/TIMEOUT vocabulary matches
-// hubserve's line door; everything else is an error line.
-func failLine(w io.Writer, err error) bool {
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, wire.ErrOverloaded):
-		fmt.Fprintf(w, "BUSY\n")
-	case errors.Is(err, wire.ErrTimeout), errors.Is(err, hubclient.ErrDeadline):
-		fmt.Fprintf(w, "TIMEOUT\n")
-	case errors.Is(err, wire.ErrUnsupported):
-		fmt.Fprintf(w, "error: query kind unsupported by the served index\n")
-	default:
-		fmt.Fprintf(w, "error: %v\n", err)
-	}
-	return true
 }
 
 // runFlood hammers the fleet with total random distance queries from
@@ -303,12 +262,12 @@ func runFlood(cl *hubclient.Client, total, workers, vertices int, seed int64) er
 				u := graph.NodeID(rng.Intn(vertices))
 				v := graph.NodeID(rng.Intn(vertices))
 				_, err := cl.Distance(u, v)
-				switch {
-				case err == nil:
+				switch statusOf(err) {
+				case wire.StatusOK:
 					ok.Add(1)
-				case errors.Is(err, wire.ErrOverloaded):
+				case wire.StatusOverloaded:
 					busy.Add(1)
-				case errors.Is(err, wire.ErrTimeout), errors.Is(err, hubclient.ErrDeadline):
+				case wire.StatusTimeout:
 					timeout.Add(1)
 				default:
 					failed.Add(1)

@@ -50,7 +50,7 @@ func TestServeLinesBatchesBufferedRuns(t *testing.T) {
 	in.WriteString("\n7 x\nnonsense\n5 2000\n")
 	want.WriteString("error: bad query \"7 x\" (want: u v)\n")
 	want.WriteString("error: bad query \"nonsense\" (want: u v | PATH u v | ECC v)\n")
-	want.WriteString("5 2000 inf\n")
+	want.WriteString("error: vertex out of range\n")
 	for i := 0; i < 10; i++ {
 		fmt.Fprintf(&in, "%d 0\r\n", i)
 		fmt.Fprintf(&want, "%d 0 %d\n", i, i)

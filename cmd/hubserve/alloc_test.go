@@ -43,14 +43,13 @@ func TestServeLineShedZeroAlloc(t *testing.T) {
 		t.Skip("race-mode sync.Pool drops Puts; allocation counts are meaningless")
 	}
 	srv := shedServer(t)
-	n := srv.Meta().Vertices
 
 	// Prove the path under measurement actually answers BUSY.
 	var probe bytes.Buffer
 	var pathBuf []graph.NodeID
-	serveLine(srv, "flooder", n, "3 9", &pathBuf, &probe)
-	serveLine(srv, "flooder", n, "PATH 3 9", &pathBuf, &probe)
-	serveLine(srv, "flooder", n, "ECC 3", &pathBuf, &probe)
+	serveLine(srv, "flooder", "3 9", &pathBuf, &probe)
+	serveLine(srv, "flooder", "PATH 3 9", &pathBuf, &probe)
+	serveLine(srv, "flooder", "ECC 3", &pathBuf, &probe)
 	if got := probe.String(); got != "BUSY\nBUSY\nBUSY\n" {
 		t.Fatalf("flooder answers %q, want three BUSY lines", got)
 	}
@@ -58,7 +57,7 @@ func TestServeLineShedZeroAlloc(t *testing.T) {
 	w := bufio.NewWriter(io.Discard)
 	for _, line := range []string{"3 9", "PATH 3 9", "ECC 3"} {
 		allocs := testing.AllocsPerRun(200, func() {
-			serveLine(srv, "flooder", n, line, &pathBuf, w)
+			serveLine(srv, "flooder", line, &pathBuf, w)
 			w.Reset(io.Discard)
 		})
 		if allocs != 0 {

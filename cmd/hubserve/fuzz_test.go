@@ -1,46 +1,21 @@
 package main
 
 import (
+	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
-	"hublab/internal/gen"
-	"hublab/internal/index"
-	"hublab/internal/server"
+	"hublab/internal/graph"
+	"hublab/internal/wire"
 )
 
-// fuzzServer lazily builds one shared serving stack for the fuzzer: a
-// small real hub-labels index (so PATH/ECC verbs hit live code paths)
-// behind a server without admission control, so sequential line traffic
-// is served deterministically (nothing can fill a depth-64 queue one
-// request at a time).
-var fuzzSrv struct {
-	once sync.Once
-	srv  *server.Server
-	n    int
-}
-
-func fuzzServing(tb testing.TB) (*server.Server, int) {
-	fuzzSrv.once.Do(func() {
-		g, err := gen.Gnm(60, 110, 13)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		idx, err := index.Build(index.KindHubLabels, g, index.Options{})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		fuzzSrv.srv = server.New(idx, server.Options{Shards: 1})
-		fuzzSrv.n = g.NumNodes()
-	})
-	return fuzzSrv.srv, fuzzSrv.n
-}
-
-// FuzzLineProtocol hammers the line door with arbitrary bytes: the server
-// must never panic, must answer every well-formed line, and must be
-// deterministic — the same input replayed twice yields byte-identical
-// output (admission is off, so no probabilistic shedding).
+// FuzzLineProtocol hammers the shared line codec (internal/wire, the
+// grammar of this door and of hubq) with arbitrary bytes: ParseLine
+// must never panic and must reject with a "bad query" error, and for
+// every line it accepts, parse∘render is stable — the answer
+// WriteAnswer renders echoes the query, so its verb and ids parse back
+// to the very same query, and every non-OK status renders as one of the
+// door's fixed words.
 func FuzzLineProtocol(f *testing.F) {
 	for _, seed := range []string{
 		"0 1\n",
@@ -59,15 +34,38 @@ func FuzzLineProtocol(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		srv, _ := fuzzServing(t)
-		var out1, out2 strings.Builder
-		err1 := serveLines(srv, strings.NewReader(string(data)), &out1, nil)
-		err2 := serveLines(srv, strings.NewReader(string(data)), &out2, nil)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("nondeterministic error: %v vs %v", err1, err2)
-		}
-		if out1.String() != out2.String() {
-			t.Fatalf("nondeterministic output:\n%q\nvs\n%q", out1.String(), out2.String())
+		for _, line := range strings.Split(string(data), "\n") {
+			q, err := wire.ParseLine(line)
+			if err != nil {
+				if !strings.HasPrefix(err.Error(), "bad query ") {
+					t.Fatalf("ParseLine(%q) rejected with %q", line, err)
+				}
+				continue
+			}
+			var out strings.Builder
+			res := wire.Result{Kind: q.Kind, Dist: 7, Far: 3, Path: []graph.NodeID{q.U, q.V}}
+			wire.WriteAnswer(&out, q, &res)
+			fields := strings.Fields(out.String())
+			var echo string
+			switch q.Kind {
+			case wire.QDist:
+				echo = fmt.Sprintf("%s %s", fields[0], fields[1])
+			case wire.QPath:
+				echo = fmt.Sprintf("PATH %s %s", fields[1], fields[2])
+			case wire.QEcc:
+				echo = fmt.Sprintf("ECC %s", fields[1])
+			}
+			if q2, err := wire.ParseLine(echo); err != nil || q2 != q {
+				t.Fatalf("%q parsed to %+v, its answer %q echoes %q = %+v (%v)", line, q, out.String(), echo, q2, err)
+			}
+			for status := uint8(wire.StatusOverloaded); status <= wire.StatusInternal; status++ {
+				out.Reset()
+				res.Status = status
+				wire.WriteAnswer(&out, q, &res)
+				if got := out.String(); got != "BUSY\n" && got != "TIMEOUT\n" && got != "error: "+wire.StatusText(status)+"\n" {
+					t.Fatalf("status %d renders %q", status, got)
+				}
+			}
 		}
 	})
 }

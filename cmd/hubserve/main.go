@@ -19,11 +19,14 @@
 // leaves the mapped inode intact, an overwrite rewrites live pages under
 // running queries.
 //
-// Overload degrades gracefully instead of blocking or crashing: both
-// front ends submit through the server's non-blocking TryQuery door, and
-// (unless -admission=false) a constant-memory fair admission controller
-// (internal/flowctl) sheds load per client, so one flooding client
-// cannot starve the rest.
+// Every front end is a codec over one request core: it decodes its
+// input into wire.Query values, hands them to server.Do, and renders
+// the wire.Result statuses in its own vocabulary (DESIGN.md "Request
+// core" holds the table). Overload therefore degrades gracefully
+// everywhere instead of blocking or crashing: Do never waits for a
+// queue slot, and (unless -admission=false) a constant-memory fair
+// admission controller (internal/flowctl) sheds load per client, so one
+// flooding client cannot starve the rest.
 //
 // Faults degrade gracefully too: a backend panic is contained to the
 // request group that hit it (the worker recovers and keeps serving),
@@ -40,11 +43,15 @@
 //     "u v dist" ("inf" when unreachable); "PATH u v" answers "path u v
 //     v0 v1 ... vk" (one shortest path, "path u v inf" when unreachable);
 //     "ECC v" answers "ecc v <eccentricity> <farthest-vertex>"; "BUSY"
-//     when the request was shed under overload; "quit" stops.
+//     when the request was shed under overload, "TIMEOUT" past the
+//     deadline, "error: ..." otherwise; "quit" stops. The grammar is
+//     internal/wire's, shared with cmd/hubq, so the two diff byte for
+//     byte.
 //   - HTTP (-http addr): GET /distance?u=U&v=V, /path?u=U&v=V and /ecc?v=V
 //     (429 + Retry-After under overload, client identity = remote
-//     address; 501 when the served index lacks the capability, e.g. a
-//     version-1 container without the parent column), plus /stats,
+//     address; 400 for ids outside the served index; 501 when it lacks
+//     the capability, e.g. a version-1 container without the parent
+//     column), plus /stats,
 //     /healthz and POST /reload (hot-swap to the current contents of the
 //     -index path; on failure the previous index keeps serving). The
 //     server carries read/write/idle timeouts so a stalled client cannot
@@ -94,16 +101,17 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
 	"hublab/internal/faultinject"
 	"hublab/internal/flowctl"
 	"hublab/internal/graph"
-	"hublab/internal/hub"
 	"hublab/internal/index"
 	"hublab/internal/netserve"
 	"hublab/internal/server"
+	"hublab/internal/wire"
 )
 
 // osExit is swapped out by tests that pin the drain-timeout exit path.
@@ -408,22 +416,15 @@ func (d *delayIndex) Release() error {
 	return nil
 }
 
-// lineClient identifies the line-protocol connection to the admission
-// controller. Each serveLines call is one connection (stdin today), so a
-// fixed id per call is the per-connection identity.
-var lineConnSeq int
+// lineConnSeq numbers the line-protocol connections for the admission
+// controller: each serveLines call is one connection (stdin today) with
+// its own identity.
+var lineConnSeq atomic.Uint64
 
 // pathBufs pools path destination buffers across HTTP handler
 // goroutines, so steady-state /path traffic reuses storage instead of
 // allocating per request.
 var pathBufs = sync.Pool{New: func() any { return new([]graph.NodeID) }}
-
-// unsupported reports whether a query failed because the served index
-// lacks the capability (no PathReporter/EccentricityReporter, or a
-// hub-label index loaded from a version-1 container without parents).
-func unsupported(err error) bool {
-	return errors.Is(err, server.ErrUnsupported) || errors.Is(err, hub.ErrNoParents)
-}
 
 // lineDrainTimeout bounds how long a terminating line-protocol process
 // waits for the in-flight query (there is at most one) to finish. A
@@ -458,19 +459,15 @@ func serveLinesMain(srv *server.Server, in io.Reader, out io.Writer, stop <-chan
 	}
 }
 
-// serveLines answers query lines from in until EOF, "quit" or stop: "u v"
-// for a distance, "PATH u v" for one shortest path, "ECC v" for
-// eccentricity plus a farthest vertex. Each response is flushed
-// immediately so interactive clients that wait for an answer before the
-// next query don't deadlock on the buffer. Overloaded requests answer
-// "BUSY" — the line client's analogue of HTTP 429 — timed-out ones
-// answer "TIMEOUT", and out-of-range or malformed queries answer an
-// error line instead of panicking the process. The vertex bound is read
-// per line from the served snapshot, so a SIGHUP reload to a
-// different-size index re-validates correctly mid-stream.
+// serveLines answers query lines from in until EOF, "quit" or stop, in
+// the grammar of internal/wire (ParseLine / WriteAnswer). Each response
+// is flushed immediately so interactive clients that wait for an answer
+// before the next query don't deadlock on the buffer. Vertices are
+// range-checked by the core against the snapshot that serves the line,
+// so a SIGHUP reload to a different-size index re-validates correctly
+// mid-stream.
 func serveLines(srv *server.Server, in io.Reader, out io.Writer, stop <-chan struct{}) error {
-	lineConnSeq++
-	client := fmt.Sprintf("conn-%d", lineConnSeq)
+	client := "conn-" + strconv.FormatUint(lineConnSeq.Add(1), 10)
 	w := bufio.NewWriter(out)
 	defer w.Flush()
 	// Lines arrive through a goroutine so the loop can select against
@@ -509,7 +506,7 @@ loop:
 			if line == "quit" {
 				break loop
 			}
-			serveLine(srv, client, srv.Meta().Vertices, line, &pathBuf, w)
+			serveLine(srv, client, line, &pathBuf, w)
 			if err := w.Flush(); err != nil {
 				return err
 			}
@@ -521,147 +518,20 @@ loop:
 	return nil
 }
 
-// busyLine and timeoutLine are the overload and deadline answers,
-// written via io.WriteString so the shed path stays allocation-free: a
-// flooding client the admission controller is rejecting must not cost
-// the server a per-answer heap envelope (TestServeLineShedZeroAlloc).
-const (
-	busyLine    = "BUSY\n"
-	timeoutLine = "TIMEOUT\n"
-)
-
-// splitLine splits a protocol line into at most 4 whitespace-separated
-// fields without allocating (strings.Fields heap-allocates its result
-// slice on every call — on a flooded connection that is a per-shed
-// allocation). ok is false when a fifth field exists; no valid query
-// has more than three, so the caller answers "bad query" either way.
-func splitLine(line string, dst *[4]string) (int, bool) {
-	n, i := 0, 0
-	for i < len(line) {
-		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
-			i++
-		}
-		if i >= len(line) {
-			break
-		}
-		j := i
-		for j < len(line) && line[j] != ' ' && line[j] != '\t' {
-			j++
-		}
-		if n == len(dst) {
-			return n, false
-		}
-		dst[n] = line[i:j]
-		n++
-		i = j
-	}
-	return n, true
-}
-
-// serveLine parses and answers one protocol line. Field counts are
-// strict — Sscanf would silently ignore trailing garbage ("1 2 3",
-// "1 2.5") and answer a different query than the client sent.
-func serveLine(srv *server.Server, client string, n int, line string, pathBuf *[]graph.NodeID, w io.Writer) {
-	var fields [4]string
-	nf, ok := splitLine(line, &fields)
-	if !ok {
-		fmt.Fprintf(w, "error: bad query %q (want: u v | PATH u v | ECC v)\n", line)
+// serveLine is the line codec around the core: parse one line into a
+// query, Do it, render the result. Nothing on the way allocates when
+// the query is shed (TestServeLineShedZeroAlloc).
+func serveLine(srv *server.Server, client, line string, pathBuf *[]graph.NodeID, w io.Writer) {
+	q, err := wire.ParseLine(line)
+	if err != nil {
+		wire.WriteRejection(w, err)
 		return
 	}
-	switch {
-	case nf > 0 && fields[0] == "PATH":
-		var u, v int
-		okU, okV := false, false
-		if nf == 3 {
-			var errU, errV error
-			u, errU = strconv.Atoi(fields[1])
-			v, errV = strconv.Atoi(fields[2])
-			okU, okV = errU == nil, errV == nil
-		}
-		if !okU || !okV {
-			fmt.Fprintf(w, "error: bad query %q (want: PATH u v)\n", line)
-			return
-		}
-		if u < 0 || u >= n || v < 0 || v >= n {
-			fmt.Fprintf(w, "error: vertex out of range [0,%d)\n", n)
-			return
-		}
-		path, err := srv.TryPath(client, graph.NodeID(u), graph.NodeID(v), (*pathBuf)[:0])
-		*pathBuf = path
-		switch {
-		case errors.Is(err, server.ErrOverloaded):
-			io.WriteString(w, busyLine)
-		case errors.Is(err, server.ErrTimeout):
-			io.WriteString(w, timeoutLine)
-		case unsupported(err):
-			fmt.Fprintf(w, "error: path queries unsupported by this index\n")
-		case err != nil:
-			fmt.Fprintf(w, "error: %v\n", err)
-		case len(path) == 0:
-			fmt.Fprintf(w, "path %d %d inf\n", u, v)
-		default:
-			fmt.Fprintf(w, "path %d %d", u, v)
-			for _, x := range path {
-				fmt.Fprintf(w, " %d", x)
-			}
-			fmt.Fprintf(w, "\n")
-		}
-	case nf > 0 && fields[0] == "ECC":
-		var v int
-		okV := false
-		if nf == 2 {
-			var errV error
-			v, errV = strconv.Atoi(fields[1])
-			okV = errV == nil
-		}
-		if !okV {
-			fmt.Fprintf(w, "error: bad query %q (want: ECC v)\n", line)
-			return
-		}
-		if v < 0 || v >= n {
-			fmt.Fprintf(w, "error: vertex out of range [0,%d)\n", n)
-			return
-		}
-		far, ecc, err := srv.TryFarthest(client, graph.NodeID(v))
-		switch {
-		case errors.Is(err, server.ErrOverloaded):
-			io.WriteString(w, busyLine)
-		case errors.Is(err, server.ErrTimeout):
-			io.WriteString(w, timeoutLine)
-		case unsupported(err):
-			fmt.Fprintf(w, "error: eccentricity queries unsupported by this index\n")
-		case err != nil:
-			fmt.Fprintf(w, "error: %v\n", err)
-		default:
-			fmt.Fprintf(w, "ecc %d %d %d\n", v, ecc, far)
-		}
-	case nf == 2:
-		u, errU := strconv.Atoi(fields[0])
-		v, errV := strconv.Atoi(fields[1])
-		if errU != nil || errV != nil {
-			fmt.Fprintf(w, "error: bad query %q (want: u v)\n", line)
-			return
-		}
-		if u < 0 || u >= n || v < 0 || v >= n {
-			fmt.Fprintf(w, "error: vertex out of range [0,%d)\n", n)
-			return
-		}
-		d, err := srv.TryQuery(client, graph.NodeID(u), graph.NodeID(v))
-		switch {
-		case errors.Is(err, server.ErrOverloaded):
-			io.WriteString(w, busyLine)
-		case errors.Is(err, server.ErrTimeout):
-			io.WriteString(w, timeoutLine)
-		case err != nil:
-			fmt.Fprintf(w, "error: %v\n", err)
-		case d >= graph.Infinity:
-			fmt.Fprintf(w, "%d %d inf\n", u, v)
-		default:
-			fmt.Fprintf(w, "%d %d %d\n", u, v, d)
-		}
-	default:
-		fmt.Fprintf(w, "error: bad query %q (want: u v | PATH u v | ECC v)\n", line)
-	}
+	qs := [1]wire.Query{q}
+	rs := [1]wire.Result{{Path: (*pathBuf)[:0]}}
+	srv.Do(client, qs[:], rs[:])
+	*pathBuf = rs[0].Path
+	wire.WriteAnswer(w, q, &rs[0])
 }
 
 // httpTimeouts bound how long a client may hold a connection in each
@@ -681,23 +551,12 @@ var defaultHTTPTimeouts = httpTimeouts{
 	idle:       60 * time.Second,
 }
 
-// clientID extracts the admission-control identity of an HTTP request:
-// the remote host without the ephemeral port, so reconnecting does not
-// reset a flooder's buckets.
-func clientID(r *http.Request) string {
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return r.RemoteAddr
-	}
-	return host
-}
-
 // queryParam extracts one raw query parameter without allocating.
 // r.URL.Query() builds a url.Values map per request — paid even when
 // the admission controller then sheds the query, which hands a flooder
 // a per-rejection allocation on the server. Vertex ids are plain
 // digits, so skipping percent-decoding is sound (a percent-escaped id
-// fails strconv.Atoi and answers 400, same as any other malformed id).
+// fails wire.ParseVertex and answers 400, same as any other malformed id).
 func queryParam(raw, key string) string {
 	for len(raw) > 0 {
 		kv := raw
@@ -711,15 +570,6 @@ func queryParam(raw, key string) string {
 		}
 	}
 	return ""
-}
-
-// vertexParam parses query parameter key as a vertex id in [0,n).
-func vertexParam(r *http.Request, key string, n int) (int, bool) {
-	x, err := strconv.Atoi(queryParam(r.URL.RawQuery, key))
-	if err != nil || x < 0 || x >= n {
-		return 0, false
-	}
-	return x, true
 }
 
 // Shared overload-response pieces: assigning the same []string into the
@@ -745,120 +595,106 @@ func answer429(w http.ResponseWriter) {
 	io.WriteString(w, overloadedBody)
 }
 
-// newMux builds the hubserve HTTP surface over srv. The vertex count is
-// read per request from the served snapshot (it is O(1) there), so a
-// /reload to a different-size index re-validates ids correctly without a
-// restart. rl may be nil, in which case /reload answers 501.
-func newMux(srv *server.Server, rl *reloader) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/distance", func(w http.ResponseWriter, r *http.Request) {
-		n := srv.Meta().Vertices
-		u, okU := vertexParam(r, "u", n)
-		v, okV := vertexParam(r, "v", n)
-		if !okU || !okV {
-			http.Error(w, fmt.Sprintf("want /distance?u=U&v=V with vertices in [0,%d)", n),
-				http.StatusBadRequest)
-			return
-		}
-		d, err := srv.TryQuery(clientID(r), graph.NodeID(u), graph.NodeID(v))
-		switch {
-		case errors.Is(err, server.ErrOverloaded):
-			answer429(w)
-			return
-		case errors.Is(err, server.ErrTimeout):
-			http.Error(w, "query deadline exceeded", http.StatusGatewayTimeout)
-			return
-		case errors.Is(err, server.ErrBackendFault):
-			http.Error(w, "backend fault while serving the query", http.StatusInternalServerError)
-			return
-		case err != nil: // ErrClosed: the process is on its way out
-			http.Error(w, "shutting down", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if d >= graph.Infinity {
-			fmt.Fprintf(w, `{"u":%d,"v":%d,"distance":null}`+"\n", u, v)
-			return
-		}
-		fmt.Fprintf(w, `{"u":%d,"v":%d,"distance":%d}`+"\n", u, v, d)
-	})
-	mux.HandleFunc("/path", func(w http.ResponseWriter, r *http.Request) {
-		n := srv.Meta().Vertices
-		u, okU := vertexParam(r, "u", n)
-		v, okV := vertexParam(r, "v", n)
-		if !okU || !okV {
-			http.Error(w, fmt.Sprintf("want /path?u=U&v=V with vertices in [0,%d)", n),
-				http.StatusBadRequest)
-			return
-		}
-		bp := pathBufs.Get().(*[]graph.NodeID)
-		path, err := srv.TryPath(clientID(r), graph.NodeID(u), graph.NodeID(v), (*bp)[:0])
-		*bp = path
-		defer pathBufs.Put(bp)
-		switch {
-		case errors.Is(err, server.ErrOverloaded):
-			answer429(w)
-			return
-		case errors.Is(err, server.ErrTimeout):
-			http.Error(w, "query deadline exceeded", http.StatusGatewayTimeout)
-			return
-		case unsupported(err):
-			http.Error(w, "path reporting unavailable (index has no parent column)",
-				http.StatusNotImplemented)
-			return
-		case errors.Is(err, server.ErrClosed):
-			http.Error(w, "shutting down", http.StatusServiceUnavailable)
-			return
-		case err != nil:
-			// A persistent query error (e.g. an inconsistent parent column
-			// that fails to unpack) — not a shutdown: report it as such so
-			// clients and load balancers do not retry forever.
-			http.Error(w, "path query failed: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if len(path) == 0 {
-			fmt.Fprintf(w, `{"u":%d,"v":%d,"path":null}`+"\n", u, v)
-			return
-		}
-		fmt.Fprintf(w, `{"u":%d,"v":%d,"hops":%d,"path":[`, u, v, len(path)-1)
-		for i, x := range path {
+// httpCode is the HTTP door's rendering of the core's statuses (the
+// bodies are wire.StatusText; DESIGN.md "Request core" has the table).
+var httpCode = [...]int{
+	wire.StatusOK:           http.StatusOK,
+	wire.StatusOverloaded:   http.StatusTooManyRequests,
+	wire.StatusTimeout:      http.StatusGatewayTimeout,
+	wire.StatusBackendFault: http.StatusInternalServerError,
+	wire.StatusUnsupported:  http.StatusNotImplemented,
+	wire.StatusClosed:       http.StatusServiceUnavailable,
+	wire.StatusBadRequest:   http.StatusBadRequest,
+	wire.StatusInternal:     http.StatusInternalServerError,
+}
+
+// verbUsage is the 400 body's reminder of each endpoint's shape,
+// indexed by query kind.
+var verbUsage = [...]string{
+	wire.QDist: "/distance?u=U&v=V",
+	wire.QPath: "/path?u=U&v=V",
+	wire.QEcc:  "/ecc?v=V",
+}
+
+// serveVerb is the HTTP codec around the core, shared by /distance,
+// /path and /ecc: decode the query parameters into one wire.Query, Do
+// it, encode the result. Ids are only parsed here; whether they name a
+// vertex is the core's call, made against the snapshot that serves the
+// request, so a /reload to a different-size index re-validates
+// correctly without a restart.
+func serveVerb(srv *server.Server, kind uint8, w http.ResponseWriter, r *http.Request) {
+	qs := [1]wire.Query{{Kind: kind}}
+	rs := [1]wire.Result{{Status: wire.StatusBadRequest}}
+	q, okU, okV := &qs[0], false, true
+	if kind == wire.QEcc {
+		q.U, okU = wire.ParseVertex(queryParam(r.URL.RawQuery, "v"))
+	} else {
+		q.U, okU = wire.ParseVertex(queryParam(r.URL.RawQuery, "u"))
+		q.V, okV = wire.ParseVertex(queryParam(r.URL.RawQuery, "v"))
+	}
+	if !okU || !okV {
+		writeResult(w, srv, q, &rs[0])
+		return
+	}
+	var bp *[]graph.NodeID
+	if kind == wire.QPath {
+		bp = pathBufs.Get().(*[]graph.NodeID)
+		rs[0].Path = (*bp)[:0]
+	}
+	srv.Do(netserve.ClientID(r.RemoteAddr), qs[:], rs[:])
+	writeResult(w, srv, q, &rs[0])
+	if bp != nil {
+		*bp = rs[0].Path
+		pathBufs.Put(bp)
+	}
+}
+
+// writeResult encodes q resolved to res: a status code and text body,
+// or the verb's JSON.
+func writeResult(w http.ResponseWriter, srv *server.Server, q *wire.Query, res *wire.Result) {
+	switch res.Status {
+	case wire.StatusOK:
+	case wire.StatusOverloaded:
+		answer429(w)
+		return
+	case wire.StatusBadRequest:
+		// The vertex count is read for the error text only.
+		http.Error(w, fmt.Sprintf("want %s with vertices in [0,%d)", verbUsage[q.Kind], srv.Meta().Vertices),
+			http.StatusBadRequest)
+		return
+	default:
+		http.Error(w, wire.StatusText(res.Status), httpCode[res.Status])
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	switch {
+	case q.Kind == wire.QEcc:
+		fmt.Fprintf(w, `{"v":%d,"eccentricity":%d,"farthest":%d}`+"\n", q.U, res.Dist, res.Far)
+	case q.Kind == wire.QDist && res.Dist >= graph.Infinity:
+		fmt.Fprintf(w, `{"u":%d,"v":%d,"distance":null}`+"\n", q.U, q.V)
+	case q.Kind == wire.QDist:
+		fmt.Fprintf(w, `{"u":%d,"v":%d,"distance":%d}`+"\n", q.U, q.V, res.Dist)
+	case len(res.Path) == 0:
+		fmt.Fprintf(w, `{"u":%d,"v":%d,"path":null}`+"\n", q.U, q.V)
+	default:
+		fmt.Fprintf(w, `{"u":%d,"v":%d,"hops":%d,"path":[`, q.U, q.V, len(res.Path)-1)
+		for i, x := range res.Path {
 			if i > 0 {
 				io.WriteString(w, ",")
 			}
 			fmt.Fprintf(w, "%d", x)
 		}
 		io.WriteString(w, "]}\n")
-	})
-	mux.HandleFunc("/ecc", func(w http.ResponseWriter, r *http.Request) {
-		n := srv.Meta().Vertices
-		v, okV := vertexParam(r, "v", n)
-		if !okV {
-			http.Error(w, fmt.Sprintf("want /ecc?v=V with a vertex in [0,%d)", n),
-				http.StatusBadRequest)
-			return
-		}
-		far, ecc, err := srv.TryFarthest(clientID(r), graph.NodeID(v))
-		switch {
-		case errors.Is(err, server.ErrOverloaded):
-			answer429(w)
-			return
-		case errors.Is(err, server.ErrTimeout):
-			http.Error(w, "query deadline exceeded", http.StatusGatewayTimeout)
-			return
-		case unsupported(err):
-			http.Error(w, "eccentricity reporting unavailable", http.StatusNotImplemented)
-			return
-		case errors.Is(err, server.ErrClosed):
-			http.Error(w, "shutting down", http.StatusServiceUnavailable)
-			return
-		case err != nil:
-			http.Error(w, "eccentricity query failed: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"v":%d,"eccentricity":%d,"farthest":%d}`+"\n", v, ecc, far)
-	})
+	}
+}
+
+// newMux builds the hubserve HTTP surface over srv. rl may be nil, in
+// which case /reload answers 501.
+func newMux(srv *server.Server, rl *reloader) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/distance", func(w http.ResponseWriter, r *http.Request) { serveVerb(srv, wire.QDist, w, r) })
+	mux.HandleFunc("/path", func(w http.ResponseWriter, r *http.Request) { serveVerb(srv, wire.QPath, w, r) })
+	mux.HandleFunc("/ecc", func(w http.ResponseWriter, r *http.Request) { serveVerb(srv, wire.QEcc, w, r) })
 	mux.HandleFunc("/reload", func(w http.ResponseWriter, r *http.Request) {
 		if rl == nil {
 			http.Error(w, "reload not configured", http.StatusNotImplemented)
@@ -889,11 +725,11 @@ func newMux(srv *server.Server, rl *reloader) *http.ServeMux {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"shards":%d,"served":%d,"batches":%d,"rejected":%d,"shed":%d,"hot_clients":%d,`+
 			`"panics":%d,"faulted":%d,"timeouts":%d,"health":%q,"health_reason":%q,`+
-			`"direct":%d,"direct_batches":%d,"hot_hits":%d,"hot_misses":%d,"hot_evicts":%d,`+
+			`"hot_hits":%d,"hot_misses":%d,"hot_evicts":%d,`+
 			`"representation":%q,"resident_bytes":%d,"container_bytes":%d}`+"\n",
 			st.Shards, st.Served, st.Batches, st.Rejected, st.Shed, st.PerClientHot,
 			st.Panics, st.Faulted, st.Timeouts, st.Health.String(), st.HealthReason,
-			st.Direct, st.DirectBatches, st.HotHits, st.HotMisses, st.HotEvicts,
+			st.HotHits, st.HotMisses, st.HotEvicts,
 			meta.Representation, meta.ResidentBytes, meta.ContainerBytes)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -962,7 +798,7 @@ func serveHTTP(srv *server.Server, rl *reloader, addr string, stop <-chan struct
 		return nil
 	}
 	// Fatal listener error: handler goroutines may still be inside
-	// srv.TryQuery; drain them before the deferred srv.Close so its
+	// srv.Do; drain them before the deferred srv.Close so its
 	// no-query-in-flight contract holds. The drain is bounded — a stalled
 	// client must not wedge the exit.
 	ctx, cancel := context.WithTimeout(context.Background(), httpDrainTimeout)

@@ -196,8 +196,8 @@ func TestServeLines(t *testing.T) {
 		"3 17 14",
 		`error: bad query "bad line" (want: u v)`,
 		`error: bad query "1 2 3" (want: u v | PATH u v | ECC v)`,
-		"error: vertex out of range [0,50)",
-		"error: vertex out of range [0,50)",
+		"error: vertex out of range",
+		"error: vertex out of range",
 		"0 0 0",
 	}
 	got := strings.Split(strings.TrimSpace(out.String()), "\n")

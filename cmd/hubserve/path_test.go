@@ -13,6 +13,7 @@ import (
 	"hublab/internal/index"
 	"hublab/internal/index/indextest"
 	"hublab/internal/server"
+	"hublab/internal/wire"
 )
 
 // pathTestServer builds a small real hub-labels index (with parent
@@ -78,8 +79,8 @@ func TestServeLinesPathAndEcc(t *testing.T) {
 	for i, want := range []string{
 		`error: bad query "PATH 0" (want: PATH u v)`,
 		`error: bad query "PATH x 7" (want: PATH u v)`,
-		"error: vertex out of range [0,80)",
-		"error: vertex out of range [0,80)",
+		"error: vertex out of range",
+		"error: vertex out of range",
 		`error: bad query "ECC" (want: ECC v)`,
 	} {
 		if lines[2+i] != want {
@@ -100,8 +101,8 @@ func TestServeLinesUnsupportedVerbs(t *testing.T) {
 	}
 	got := strings.Split(strings.TrimSpace(out.String()), "\n")
 	want := []string{
-		"error: path queries unsupported by this index",
-		"error: eccentricity queries unsupported by this index",
+		"error: query kind unsupported by the served index",
+		"error: query kind unsupported by the served index",
 	}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("lines = %q, want %q", got, want)
@@ -163,7 +164,7 @@ func (b *brokenPaths) AppendPath(dst []graph.NodeID, u, v graph.NodeID) ([]graph
 }
 
 // TestHTTPPathErrorIsNot503: a persistent path-query failure must answer
-// 500 with the cause, not masquerade as a 503 shutdown (which load
+// 500 (StatusInternal), not masquerade as a 503 shutdown (which load
 // balancers would retry forever while /healthz stays green).
 func TestHTTPPathErrorIsNot503(t *testing.T) {
 	srv := server.New(&brokenPaths{indextest.Fixed{N: 10}}, server.Options{Shards: 1})
@@ -176,7 +177,7 @@ func TestHTTPPathErrorIsNot503(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("/path with failing backend = %d, want 500", rec.Code)
 	}
-	if !strings.Contains(rec.Body.String(), "synthetic unpack failure") {
-		t.Fatalf("500 body %q does not carry the cause", rec.Body.String())
+	if !strings.Contains(rec.Body.String(), wire.StatusText(wire.StatusInternal)) {
+		t.Fatalf("500 body %q is not the StatusInternal text", rec.Body.String())
 	}
 }

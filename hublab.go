@@ -28,8 +28,7 @@
 //   - the path-reporting and farthest-point query surface: witness-path
 //     unpacking from the labels' parent column (FlatLabeling.AppendPath,
 //     IndexPathReporter, Server.TryPath) and exact eccentricities
-//     (NewEccIndex, IndexEccentricityReporter, Server.TryEccentricity /
-//     TryFarthest).
+//     (NewEccIndex, IndexEccentricityReporter, Server.TryEccentricity).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured record.
@@ -340,10 +339,10 @@ type (
 	IndexReleaser = index.Releaser
 	// Server is the in-process sharded query service: worker goroutines
 	// coalesce request streams into interleaved-merge batches over an
-	// atomically swappable index snapshot. Trusted callers use the
-	// blocking Query; untrusted traffic goes through TryQuery, which
-	// never blocks on a full queue and returns ErrServerOverloaded /
-	// ErrServerClosed instead of panicking.
+	// atomically swappable index snapshot. Every query enters through
+	// one core, Server.Do, which never blocks on a full queue and never
+	// panics; TryQuery, TryPath, TryEccentricity and TryQueryBatch wrap
+	// it and return ErrServerOverloaded / ErrServerClosed / ... instead.
 	Server = server.Server
 	// ServerOptions configures NewServer (shard/worker count, queue
 	// depth, and the optional Admission controller).
@@ -391,7 +390,8 @@ const (
 	ServerFailed   = server.Failed
 )
 
-// Serving errors returned by the Server.Try* doors.
+// Serving errors returned by the Server.Try* doors and, being the same
+// values, by FleetClient: ErrFleetOverloaded is ErrServerOverloaded.
 var (
 	// ErrServerOverloaded reports a request shed by the admission
 	// controller or bounced off a full shard queue; back off and retry.
@@ -410,6 +410,8 @@ var (
 	// ServerOptions.QueryTimeout deadline; the backend may still
 	// complete it, but the caller has its answer slot back.
 	ErrServerTimeout = server.ErrTimeout
+	// ErrServerBadRequest reports a vertex id outside the served index.
+	ErrServerBadRequest = server.ErrBadRequest
 	// ErrNoParents reports a path query against a labeling without a
 	// parent column (e.g. one loaded from a version-1 container).
 	ErrNoParents = hub.ErrNoParents

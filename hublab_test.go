@@ -10,8 +10,8 @@ import (
 )
 
 // TestFacadeServing drives the serving surface through the re-exported
-// API: build an index, serve it with fair admission enabled, query
-// through both doors, and check the overload errors and counters are
+// API: build an index, serve it with fair admission enabled, query it,
+// and check the overload errors and counters are
 // reachable from the facade.
 func TestFacadeServing(t *testing.T) {
 	g, err := GenerateGnm(150, 270, 7)
@@ -24,20 +24,17 @@ func TestFacadeServing(t *testing.T) {
 	}
 	srv := NewServer(idx, ServerOptions{Shards: 2, Admission: &AdmissionOptions{}})
 	want := ShortestDistance(g, 4, 140)
-	if got := srv.Query(4, 140); got != want {
-		t.Errorf("Query = %d, want %d", got, want)
-	}
 	d, err := srv.TryQuery("facade-client", 4, 140)
 	if err != nil || d != want {
 		t.Errorf("TryQuery = %d, %v, want %d, nil", d, err, want)
 	}
-	// Hostile ids degrade to Infinity through every layer.
-	if d, err := srv.TryQuery("facade-client", -3, 9999); err != nil || d != Infinity {
-		t.Errorf("TryQuery(hostile) = %d, %v, want Infinity, nil", d, err)
+	// Hostile ids are refused by the core, never mistaken for unreachable.
+	if d, err := srv.TryQuery("facade-client", -3, 9999); !errors.Is(err, ErrServerBadRequest) || d != Infinity {
+		t.Errorf("TryQuery(hostile) = %d, %v, want Infinity, ErrServerBadRequest", d, err)
 	}
 	var st ServerStats = srv.Stats()
-	if st.Served != 3 || st.Rejected != 0 || st.Shed != 0 {
-		t.Errorf("Stats = %+v, want 3 served and clean overload counters", st)
+	if st.Served != 2 || st.Rejected != 0 || st.Shed != 0 {
+		t.Errorf("Stats = %+v, want 2 answered and clean overload counters", st)
 	}
 	srv.Close()
 	if _, err := srv.TryQuery("facade-client", 1, 2); !errors.Is(err, ErrServerClosed) {

@@ -77,9 +77,10 @@ func TestClientMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFar, wantEcc, _ := srv.TryFarthest("inproc", 9)
-	if far != wantFar || ecc != wantEcc {
-		t.Fatalf("Eccentricity(9) = (%d,%d), want (%d,%d)", far, ecc, wantFar, wantEcc)
+	want := make([]wire.Result, 1)
+	srv.Do("inproc", []wire.Query{{Kind: wire.QEcc, U: 9}}, want)
+	if far != want[0].Far || ecc != want[0].Dist {
+		t.Fatalf("Eccentricity(9) = (%d,%d), want (%d,%d)", far, ecc, want[0].Far, want[0].Dist)
 	}
 }
 

@@ -2,8 +2,10 @@
 // speaks the internal/wire batch protocol over TCP (or any
 // net.Listener) and rides the existing server.Server machinery — shard
 // queues, fair admission, deadlines, hot cache — without adding any
-// queueing of its own. One goroutine per connection reads a frame,
-// answers it against the server, and writes one reply frame; batching
+// queueing of its own. The door is a codec over the request core: one
+// goroutine per connection decodes a frame into wire.Query values,
+// hands the whole wave to server.Do, and encodes the wire.Result values
+// it filled as one reply frame; batching
 // lives inside the frame (up to wire.MaxBatch queries), so throughput
 // scales with batch size while the per-connection state stays a pair of
 // reused buffers.
@@ -23,8 +25,6 @@ import (
 	"sync/atomic"
 
 	"hublab/internal/flowctl"
-	"hublab/internal/graph"
-	"hublab/internal/hub"
 	"hublab/internal/server"
 	"hublab/internal/wire"
 )
@@ -69,8 +69,8 @@ type Stats struct {
 }
 
 // New returns a door serving srv. The door shares the server's
-// admission controller (if any): request frames consult it through the
-// normal Try* doors, and incoming gossip merges into it.
+// admission controller (if any): request frames consult it through
+// server.Do, and incoming gossip merges into it.
 func New(srv *server.Server, opts Options) *Door {
 	maxFrame := opts.MaxFrame
 	if maxFrame <= 0 {
@@ -169,9 +169,6 @@ type connState struct {
 	reply   []byte
 	qs      []wire.Query
 	rs      []wire.Result
-	pairs   [][2]graph.NodeID
-	out     []graph.Weight
-	errs    []error
 	gossip  []wire.GossipEntry
 }
 
@@ -183,7 +180,7 @@ func (d *Door) serveConn(c net.Conn) {
 		d.mu.Unlock()
 		c.Close()
 	}()
-	st := &connState{client: remoteHost(c)}
+	st := &connState{client: ClientID(c.RemoteAddr().String())}
 	br := bufio.NewReaderSize(c, 32<<10)
 	bw := bufio.NewWriterSize(c, 32<<10)
 	for {
@@ -218,7 +215,7 @@ func (d *Door) serveConn(c net.Conn) {
 			st.qs = qs
 			d.frames.Add(1)
 			d.queries.Add(uint64(len(qs)))
-			d.answer(st, id, qs)
+			d.answer(st, qs)
 			frame, err := wire.AppendReply(st.reply[:0], id, st.rs)
 			if err != nil {
 				// Only possible for an over-long path; drop the
@@ -245,72 +242,17 @@ func (d *Door) serveConn(c net.Conn) {
 	}
 }
 
-// answer resolves one request frame into st.rs, reusing its storage.
-// All-distance frames of more than one query take the batched queue
-// door so shard coalescing engages across the frame.
-func (d *Door) answer(st *connState, id uint64, qs []wire.Query) {
+// answer resolves one request frame into st.rs, reusing its storage
+// (each slot's path buffer included) from the previous frame.
+func (d *Door) answer(st *connState, qs []wire.Query) {
 	if cap(st.rs) < len(qs) {
 		st.rs = make([]wire.Result, len(qs))
-		st.pairs = make([][2]graph.NodeID, len(qs))
-		st.out = make([]graph.Weight, len(qs))
-		st.errs = make([]error, len(qs))
 	}
 	st.rs = st.rs[:len(qs)]
-	allDist := true
-	for i := range qs {
-		if qs[i].Kind != wire.QDist {
-			allDist = false
-			break
-		}
+	for i := range st.rs {
+		st.rs[i].Path = st.rs[i].Path[:0]
 	}
-	if allDist && len(qs) > 1 {
-		pairs, out, errs := st.pairs[:len(qs)], st.out[:len(qs)], st.errs[:len(qs)]
-		for i := range qs {
-			pairs[i] = [2]graph.NodeID{qs[i].U, qs[i].V}
-		}
-		d.srv.TryQueryBatch(st.client, pairs, out, errs)
-		for i := range qs {
-			st.rs[i] = wire.Result{Kind: wire.QDist, Status: statusFor(errs[i]), Dist: out[i], Far: -1}
-		}
-		return
-	}
-	n := graph.NodeID(d.srv.Meta().Vertices)
-	for i := range qs {
-		st.rs[i] = d.answerOne(st, qs[i], n, i)
-	}
-}
-
-// answerOne resolves a single query of any kind. Path and eccentricity
-// queries validate their vertices against the served snapshot first —
-// distance queries need not (out-of-range answers Infinity by index
-// contract), but a path backend is entitled to in-range input.
-func (d *Door) answerOne(st *connState, q wire.Query, n graph.NodeID, slot int) wire.Result {
-	r := wire.Result{Kind: q.Kind, Status: wire.StatusOK, Dist: graph.Infinity, Far: -1}
-	switch q.Kind {
-	case wire.QDist:
-		dist, err := d.srv.TryQuery(st.client, q.U, q.V)
-		r.Dist, r.Status = dist, statusFor(err)
-	case wire.QPath:
-		if q.U < 0 || q.U >= n || q.V < 0 || q.V >= n {
-			r.Status = wire.StatusBadRequest
-			return r
-		}
-		// Reuse the previous frame's path storage at this slot.
-		var dst []graph.NodeID
-		if slot < cap(st.rs) {
-			dst = st.rs[:cap(st.rs)][slot].Path[:0]
-		}
-		path, err := d.srv.TryPath(st.client, q.U, q.V, dst)
-		r.Path, r.Status = path, statusFor(err)
-	case wire.QEcc:
-		if q.U < 0 || q.U >= n {
-			r.Status = wire.StatusBadRequest
-			return r
-		}
-		far, ecc, err := d.srv.TryFarthest(st.client, q.U)
-		r.Far, r.Dist, r.Status = far, ecc, statusFor(err)
-	}
-	return r
+	d.srv.Do(st.client, qs, st.rs)
 }
 
 // mergeGossip folds a peer's bucket deltas into the local admission
@@ -341,33 +283,14 @@ func (d *Door) mergeGossip(st *connState, payload []byte) bool {
 	return true
 }
 
-// statusFor maps the server error taxonomy onto wire status codes.
-func statusFor(err error) uint8 {
-	switch {
-	case err == nil:
-		return wire.StatusOK
-	case errors.Is(err, server.ErrOverloaded):
-		return wire.StatusOverloaded
-	case errors.Is(err, server.ErrTimeout):
-		return wire.StatusTimeout
-	case errors.Is(err, server.ErrBackendFault):
-		return wire.StatusBackendFault
-	case errors.Is(err, server.ErrUnsupported), errors.Is(err, hub.ErrNoParents):
-		return wire.StatusUnsupported
-	case errors.Is(err, server.ErrClosed):
-		return wire.StatusClosed
-	default:
-		return wire.StatusInternal
-	}
-}
-
-// remoteHost is the fallback admission identity of a connection that
-// never sent a hello: the remote address without the ephemeral port,
-// so reconnecting does not reset a flow's admission state.
-func remoteHost(c net.Conn) string {
-	addr := c.RemoteAddr().String()
-	if host, _, err := net.SplitHostPort(addr); err == nil {
+// ClientID is the admission identity of a peer known only by its
+// network address: the address without the ephemeral port, so
+// reconnecting does not reset a flow's admission state. The binary door
+// uses it until a hello names the connection; the HTTP door uses it for
+// every request.
+func ClientID(remoteAddr string) string {
+	if host, _, err := net.SplitHostPort(remoteAddr); err == nil {
 		return host
 	}
-	return addr
+	return remoteAddr
 }

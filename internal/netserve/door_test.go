@@ -135,16 +135,14 @@ func TestDoorAnswersMatchInProcess(t *testing.T) {
 			t.Fatalf("path vertex %d: %d vs %d", i, rs[2].Path[i], wantPath[i])
 		}
 	}
-	wantFar, wantEcc, err := srv.TryFarthest("inproc", 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs[3].Dist != wantEcc || rs[3].Far != wantFar {
-		t.Fatalf("ecc(9) = (%d,%d) over the wire, (%d,%d) in process", rs[3].Dist, rs[3].Far, wantEcc, wantFar)
+	want := make([]wire.Result, 1)
+	srv.Do("inproc", qs[3:4], want)
+	if want[0].Status != wire.StatusOK || rs[3].Dist != want[0].Dist || rs[3].Far != want[0].Far {
+		t.Fatalf("ecc(9) = (%d,%d) over the wire, (%d,%d) status %d in process",
+			rs[3].Dist, rs[3].Far, want[0].Dist, want[0].Far, want[0].Status)
 	}
 
-	// An all-distance frame (the batched fast path) on a second frame of
-	// the same connection.
+	// An all-distance frame on a second frame of the same connection.
 	big := make([]wire.Query, 32)
 	for i := range big {
 		big[i] = wire.Query{Kind: wire.QDist, U: graph.NodeID(i), V: graph.NodeID(199 - i)}
@@ -157,9 +155,9 @@ func TestDoorAnswersMatchInProcess(t *testing.T) {
 		}
 	}
 
-	// Out-of-range path/ecc queries answer StatusBadRequest, not a hang
-	// or a panic.
-	rs = tc.roundTrip(t, 3, []wire.Query{{Kind: wire.QPath, U: 5000, V: 1}, {Kind: wire.QEcc, U: 5000}})
+	// Out-of-range queries of every kind answer StatusBadRequest, not a
+	// hang, a panic, or a distance of "unreachable".
+	rs = tc.roundTrip(t, 3, []wire.Query{{Kind: wire.QPath, U: 5000, V: 1}, {Kind: wire.QEcc, U: 5000}, {Kind: wire.QDist, U: 5, V: 5000}})
 	for i, r := range rs {
 		if r.Status != wire.StatusBadRequest {
 			t.Fatalf("out-of-range slot %d: status %d", i, r.Status)
@@ -290,7 +288,7 @@ func TestDoorShedZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		st.qs = parsed
-		d.answer(st, id, parsed)
+		d.answer(st, parsed)
 		frame, err := wire.AppendReply(st.reply[:0], id, st.rs)
 		if err != nil {
 			t.Fatal(err)
@@ -314,7 +312,7 @@ func TestDoorShedZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		st2.qs = parsed
-		d.answer(st2, id, parsed)
+		d.answer(st2, parsed)
 		frame, err := wire.AppendReply(st2.reply[:0], id, st2.rs)
 		if err != nil {
 			t.Fatal(err)

@@ -2,27 +2,20 @@ package server
 
 import (
 	"sync"
-	"time"
 
 	"hublab/internal/flowctl"
 	"hublab/internal/graph"
+	"hublab/internal/wire"
 )
 
-// This file is the pipelined queue door the network front end rides: a
-// whole frame of distance queries enters the shard queues as one wave,
-// so worker coalescing engages across the frame instead of each query
-// paying a full submit round trip. The wave shares every property of
-// TryQuery — per-query admission, non-blocking enqueue, the end-to-end
-// deadline, exactly-once delivery arbitration — and the exact
-// accounting identity (Served + Rejected + Shed + Faulted + Timeouts)
-// holds query by query.
-
-// wave is the reusable scratch of one TryQueryBatch call: the in-flight
-// envelopes and the caller slots they answer. Pooled so the batch door
-// allocates nothing in steady state regardless of batch size.
+// wave is the reusable scratch of one large Do call — the in-flight
+// envelope of each query — plus the typed queries and results
+// TryQueryBatch translates its pairs through. Pooled so the core
+// allocates nothing in steady state regardless of wave size.
 type wave struct {
-	reqs  []*request
-	slots []int
+	reqs []*request
+	qs   []wire.Query
+	rs   []wire.Result
 }
 
 var wavePool = sync.Pool{New: func() any { return new(wave) }}
@@ -34,104 +27,18 @@ var wavePool = sync.Pool{New: func() any { return new(wave) }}
 func (s *Server) AdmissionController() *flowctl.Controller { return s.ctl }
 
 // TryQueryBatch answers pairs[k] into out[k] with a per-query error in
-// errs[k], pushing the whole wave through the shard queues under the
-// same admission door, deadline, and hot cache as TryQuery. Unlike the
-// direct QueryBatch door it never bypasses admission: each query flips
-// its own shed coin and claims its own queue slot, so a flooder's
-// batches are throttled exactly like its single queries would be.
-// Enqueued queries proceed concurrently across shards and coalesce
-// into merge groups there; one deadline bounds the whole wave. out and
-// errs must each hold len(pairs) entries. Zero allocations in steady
-// state.
+// errs[k]: Do's wave of distance queries for callers holding pairs. out
+// and errs must each hold len(pairs) entries.
 func (s *Server) TryQueryBatch(client string, pairs [][2]graph.NodeID, out []graph.Weight, errs []error) {
-	if len(pairs) == 0 {
-		return
-	}
-	if len(out) < len(pairs) || len(errs) < len(pairs) {
-		panic("server: TryQueryBatch out/errs shorter than pairs")
-	}
-	if !s.acquire() {
-		for i := range pairs {
-			out[i] = graph.Infinity
-			errs[i] = ErrClosed
-		}
-		return
-	}
-	defer s.release()
-	var deadline <-chan time.Time
-	if s.timeout > 0 {
-		t := getTimer(s.timeout)
-		defer putTimer(t)
-		deadline = t.C
-	}
 	w := wavePool.Get().(*wave)
-	defer func() {
-		w.reqs = w.reqs[:0]
-		w.slots = w.slots[:0]
-		wavePool.Put(w)
-	}()
-	for i := range pairs {
-		out[i] = graph.Infinity
-		errs[i] = nil
-		if s.ctl != nil && s.ctl.Shed(client) {
-			s.shed.Add(1)
-			errs[i] = ErrOverloaded
-			continue
-		}
-		r := s.pool.Get().(*request)
-		r.op, r.u, r.v, r.path = opDistance, pairs[i][0], pairs[i][1], nil
-		r.state.Store(stPending)
-		sh := s.shards[s.rr.Add(1)%uint64(len(s.shards))]
-		select {
-		case sh.ch <- r:
-			w.reqs = append(w.reqs, r)
-			w.slots = append(w.slots, i)
-		default:
-			s.putRequest(r)
-			s.rejected.Add(1)
-			if s.ctl != nil {
-				s.ctl.OnQueueFull(client)
-			}
-			errs[i] = ErrOverloaded
-		}
+	w.qs, w.rs = w.qs[:0], w.rs[:0]
+	for _, p := range pairs {
+		w.qs = append(w.qs, wire.Query{Kind: wire.QDist, U: p[0], V: p[1]})
+		w.rs = append(w.rs, wire.Result{})
 	}
-	// Collect in submission order. Once the shared deadline fires, every
-	// still-pending envelope — including the one the select was waiting
-	// on — is abandoned to its worker via the same CAS arbitration as
-	// the single-query door (the timer channel yields exactly once, so
-	// after expired flips we never select on it again).
-	expired := false
-	for k, r := range w.reqs {
-		slot := w.slots[k]
-		delivered := false
-		if !expired {
-			if deadline == nil {
-				<-r.done
-				delivered = true
-			} else {
-				select {
-				case <-r.done:
-					delivered = true
-				case <-deadline:
-					expired = true
-				}
-			}
-		}
-		if !delivered {
-			if r.state.CompareAndSwap(stPending, stAbandoned) {
-				s.timeouts.Add(1)
-				s.health.noteTimeout()
-				errs[slot] = ErrTimeout
-				continue
-			}
-			// Lost the race: the worker delivered concurrently with the
-			// deadline — consume the signal and keep the answer.
-			<-r.done
-		}
-		out[slot], errs[slot] = r.d, r.err
-		s.putRequest(r)
-		if s.ctl != nil {
-			s.ctl.OnServed(client)
-		}
+	w.reqs = s.do(w.reqs[:0], client, w.qs, w.rs)
+	for i := range w.rs {
+		out[i], errs[i] = w.rs[i].Dist, wire.StatusError(w.rs[i].Status)
 	}
+	wavePool.Put(w)
 }

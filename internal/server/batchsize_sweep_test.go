@@ -66,7 +66,7 @@ func TestBatchSizeSweep(t *testing.T) {
 					for k := 0; k < perClient; k++ {
 						u := graph.NodeID((c*7919 + k*104729) % n)
 						v := graph.NodeID((c*1299709 + k*15485863) % n)
-						srv.Query(u, v)
+						query(srv, u, v)
 					}
 				}(c)
 			}

@@ -1,0 +1,268 @@
+package server
+
+import (
+	"errors"
+	"sync"
+	"testing"
+	"time"
+
+	"hublab/internal/flowctl"
+	"hublab/internal/graph"
+	"hublab/internal/index/indextest"
+	"hublab/internal/wire"
+)
+
+// mixedWave builds a wave of n queries over [0,limit): mostly distances,
+// with a path and an eccentricity mixed in from the third query on.
+func mixedWave(n, limit int) []wire.Query {
+	qs := make([]wire.Query, n)
+	for i := range qs {
+		u, v := graph.NodeID(i*7%limit), graph.NodeID((i*31+5)%limit)
+		qs[i] = wire.Query{Kind: wire.QDist, U: u, V: v}
+		switch {
+		case i >= 2 && i%8 == 2:
+			qs[i].Kind = wire.QPath
+		case i >= 2 && i%8 == 5:
+			qs[i] = wire.Query{Kind: wire.QEcc, U: u}
+		}
+	}
+	return qs
+}
+
+// TestDoMixedWave checks a mixed-kind wave against the adapters query
+// by query: Do is the only path either takes, so the answers must be
+// identical, and every query of the wave is accounted once.
+func TestDoMixedWave(t *testing.T) {
+	g, idx := buildIndex(t, 200, 360, 3)
+	srv := New(idx, Options{Shards: 3})
+	defer srv.Close()
+	qs := mixedWave(64, g.NumNodes())
+	rs := make([]wire.Result, len(qs))
+	srv.Do("wave", qs, rs)
+	for i, q := range qs {
+		if rs[i].Status != wire.StatusOK || rs[i].Kind != q.Kind {
+			t.Fatalf("slot %d: kind %d status %d", i, rs[i].Kind, rs[i].Status)
+		}
+		switch q.Kind {
+		case wire.QDist:
+			if want := idx.Distance(q.U, q.V); rs[i].Dist != want {
+				t.Fatalf("slot %d: d(%d,%d) = %d, index %d", i, q.U, q.V, rs[i].Dist, want)
+			}
+		case wire.QPath:
+			if msg := indextest.CheckPath(g, q.U, q.V, rs[i].Path, idx.Distance(q.U, q.V)); msg != "" {
+				t.Fatalf("slot %d: path(%d,%d): %s", i, q.U, q.V, msg)
+			}
+		case wire.QEcc:
+			ecc, err := srv.TryEccentricity("wave", q.U)
+			if err != nil || rs[i].Dist != ecc || idx.Distance(q.U, rs[i].Far) != ecc {
+				t.Fatalf("slot %d: ecc(%d) = (%d, far %d), adapter %d/%v", i, q.U, rs[i].Dist, rs[i].Far, ecc, err)
+			}
+		}
+	}
+	if st := srv.Stats(); st.Served < uint64(len(qs)) || st.Rejected+st.Shed+st.Faulted+st.Timeouts != 0 {
+		t.Fatalf("wave accounting: %+v", st)
+	}
+}
+
+// TestDoRangeChecksEveryKind: ids outside the served snapshot — too
+// large or negative — resolve StatusBadRequest on every verb, never an
+// "unreachable" distance and never a backend error, while their wave
+// mates are answered. A refusal is an answer: it counts as Served.
+func TestDoRangeChecksEveryKind(t *testing.T) {
+	_, idx := buildIndex(t, 60, 110, 2)
+	srv := New(idx, Options{Shards: 2, HotCache: 64})
+	defer srv.Close()
+	qs := []wire.Query{
+		{Kind: wire.QDist, U: 5, V: 99999},
+		{Kind: wire.QDist, U: -1, V: 3},
+		{Kind: wire.QPath, U: 0, V: 60},
+		{Kind: wire.QPath, U: -7, V: 2},
+		{Kind: wire.QEcc, U: 60},
+		{Kind: wire.QEcc, U: -1},
+		{Kind: wire.QDist, U: 5, V: 59},
+		{Kind: wire.QEcc, U: 59, V: 99999}, // an eccentricity has no second id to check
+	}
+	rs := make([]wire.Result, len(qs))
+	for round := 0; round < 2; round++ { // the second round meets a warm hot cache
+		srv.Do("c", qs, rs)
+		for i := range qs {
+			want := uint8(wire.StatusBadRequest)
+			if i >= 6 {
+				want = wire.StatusOK
+			}
+			if rs[i].Status != want {
+				t.Fatalf("round %d slot %d (%+v): status %d, want %d", round, i, qs[i], rs[i].Status, want)
+			}
+			if want != wire.StatusOK && (rs[i].Dist != graph.Infinity || rs[i].Far != -1 || len(rs[i].Path) != 0) {
+				t.Fatalf("round %d slot %d: refusal carries an answer: %+v", round, i, rs[i])
+			}
+		}
+	}
+	if _, err := srv.TryQuery("c", 5, 99999); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("TryQuery out of range: %v, want ErrBadRequest", err)
+	}
+	if st := srv.Stats(); st.Served != 2*uint64(len(qs))+1 || st.Faulted != 0 {
+		t.Fatalf("refusals must count as answered: %+v", st)
+	}
+}
+
+// TestDoRangeCheckSurvivesReload is the reload TOCTOU pin: queries with
+// ids valid on the large index but not the small one stream through Do
+// while SwapRetire flips between the two. Whichever snapshot serves a
+// query is the one that range-checked it, so the only possible verdicts
+// are an answer or StatusBadRequest — never StatusInternal from a
+// backend handed an id it was not checked against — and the accounting
+// identity holds query by query.
+func TestDoRangeCheckSurvivesReload(t *testing.T) {
+	gBig, big := buildIndex(t, 200, 360, 7)
+	_, small := buildIndex(t, 40, 70, 8)
+	srv := New(big, Options{Shards: 2})
+	defer srv.Close()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var submitted [4]uint64
+	for c := range submitted {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			qs := mixedWave(16, gBig.NumNodes())
+			rs := make([]wire.Result, len(qs))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				srv.Do("c", qs, rs)
+				submitted[c] += uint64(len(qs))
+				for i := range rs {
+					if s := rs[i].Status; s != wire.StatusOK && s != wire.StatusBadRequest {
+						t.Errorf("query %+v across a reload: status %d", qs[i], s)
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	for i := 0; i < 100; i++ {
+		if i%2 == 0 {
+			srv.SwapRetire(small)
+		} else {
+			srv.SwapRetire(big)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	srv.SwapRetire(small)
+	close(stop)
+	wg.Wait()
+	// Mid-stream is over: on the small index the large ids are refused.
+	if _, err := srv.TryPath("c", 0, 150, nil); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("TryPath(0,150) on the 40-vertex index: %v, want ErrBadRequest", err)
+	}
+	var total uint64
+	for _, n := range submitted {
+		total += n
+	}
+	st := srv.Stats()
+	if got := st.Served + st.Rejected + st.Shed + st.Faulted + st.Timeouts; got != total+1 {
+		t.Fatalf("accounting identity: %d counted, %d submitted (%+v)", got, total+1, st)
+	}
+}
+
+// TestDoOneDeadlineBoundsTheWave: the deadline of a Do call covers the
+// capability warm and every query behind it. A path query whose warm
+// stalls past the deadline times out, and so does the rest of its wave
+// — without a second wait on the timer that already fired.
+func TestDoOneDeadlineBoundsTheWave(t *testing.T) {
+	gate := make(chan struct{})
+	defer close(gate)
+	w := &warmable{Fixed: indextest.Fixed{N: 16}, warmGate: gate}
+	srv := New(w, Options{Shards: 1, QueryTimeout: 30 * time.Millisecond})
+	defer srv.Close()
+	qs := []wire.Query{{Kind: wire.QDist, U: 1, V: 2}, {Kind: wire.QPath, U: 1, V: 2}, {Kind: wire.QDist, U: 3, V: 4}, {Kind: wire.QDist, U: 5, V: 6}}
+	rs := make([]wire.Result, len(qs))
+	start := time.Now()
+	srv.Do("c", qs, rs)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("wave took %v against a 30ms deadline", elapsed)
+	}
+	if rs[0].Status != wire.StatusOK || rs[0].Dist != 1 {
+		t.Fatalf("the distance ahead of the stalled warm: %+v", rs[0])
+	}
+	for i := 1; i < len(rs); i++ {
+		if rs[i].Status != wire.StatusTimeout {
+			t.Fatalf("slot %d: status %d, want StatusTimeout", i, rs[i].Status)
+		}
+	}
+	if st := srv.Stats(); st.Served != 1 || st.Timeouts != 3 {
+		t.Fatalf("served=%d timeouts=%d, want 1/3", st.Served, st.Timeouts)
+	}
+}
+
+// TestDoZeroAlloc pins the core's allocation contract at wave sizes 1
+// and 16, both when the wave is served and when admission sheds all of
+// it: envelopes, wave scratch and the deadline timer are all pooled.
+func TestDoZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts; allocation counts are meaningless")
+	}
+	g, idx := buildIndex(t, 200, 400, 5)
+	srv := New(idx, Options{Shards: 2, Admission: &flowctl.Options{MaxDrop: 1, Inc: 1}, QueryTimeout: time.Second})
+	defer srv.Close()
+	srv.AdmissionController().OnQueueFull("flooder")
+	for _, n := range []int{1, 16} {
+		qs := mixedWave(n, g.NumNodes())
+		rs := make([]wire.Result, n)
+		for _, client := range []string{"polite", "flooder"} {
+			want := uint8(wire.StatusOK)
+			if client == "flooder" {
+				want = wire.StatusOverloaded
+			}
+			wave := func() {
+				for i := range rs {
+					rs[i].Path = rs[i].Path[:0]
+				}
+				srv.Do(client, qs, rs)
+			}
+			wave() // warm the pools, the path buffers and the eccentricity index
+			for i := range rs {
+				if rs[i].Status != want {
+					t.Fatalf("%s wave of %d, slot %d: status %d, want %d", client, n, i, rs[i].Status, want)
+				}
+			}
+			if allocs := testing.AllocsPerRun(100, wave); allocs != 0 {
+				t.Errorf("Do(%s, wave of %d) allocates %.1f/op, want 0", client, n, allocs)
+			}
+		}
+	}
+}
+
+// TestAdaptersZeroAlloc pins that the adapters add nothing to the core:
+// their [1]wire.Query / [1]wire.Result live on the stack (an escape
+// would show as one allocation per call), and TryQueryBatch's typed
+// scratch is pooled with the wave.
+func TestAdaptersZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts; allocation counts are meaningless")
+	}
+	_, idx := buildIndex(t, 200, 400, 5)
+	srv := New(idx, Options{Shards: 2, QueryTimeout: time.Second})
+	defer srv.Close()
+	var buf []graph.NodeID
+	pairs := make([][2]graph.NodeID, 16)
+	for i := range pairs {
+		pairs[i] = [2]graph.NodeID{graph.NodeID(i), graph.NodeID(199 - i)}
+	}
+	out, errs := make([]graph.Weight, 16), make([]error, 16)
+	for name, call := range map[string]func(){
+		"TryQuery":        func() { srv.TryQuery("c", 3, 177) },
+		"TryPath":         func() { buf, _ = srv.TryPath("c", 3, 177, buf[:0]) },
+		"TryEccentricity": func() { srv.TryEccentricity("c", 9) },
+		"TryQueryBatch":   func() { srv.TryQueryBatch("c", pairs, out, errs) },
+	} {
+		call() // warm the pools
+		if allocs := testing.AllocsPerRun(200, call); allocs != 0 {
+			t.Errorf("%s allocates %.1f/op, want 0", name, allocs)
+		}
+	}
+}

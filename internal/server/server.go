@@ -11,24 +11,26 @@
 // routing is a single atomic round-robin tick, and every worker reuses
 // its batch buffers across groups.
 //
-// Two doors exist. Query blocks until served and is for trusted
-// in-process callers; TryQuery never blocks on a full queue and never
-// panics — it returns ErrOverloaded/ErrClosed — and, with
-// Options.Admission set, consults a constant-memory fair admission
-// controller (internal/flowctl) so overload is shed per-client instead
-// of starving whoever queues last.
+// One request core serves every door: Do takes a wave of typed queries
+// (wire.Query — distance, witness path, eccentricity) and resolves each
+// to one wire.Result status. It never blocks on a full queue and never
+// panics — overload, shutdown, deadlines, contained backend faults and
+// out-of-range vertices are all statuses — and, with Options.Admission
+// set, consults a constant-memory fair admission controller
+// (internal/flowctl) so overload is shed per-client instead of starving
+// whoever queues last. TryQuery, TryPath, TryEccentricity and
+// TryQueryBatch are logic-free adapters over Do for callers that want
+// Go values and errors.
 //
-// Beyond scalar distances, witness-path and eccentricity queries flow
-// through the same queues and the same admission door (TryPath,
-// TryEccentricity, TryFarthest): a worker group may mix kinds, with the
-// all-distance common case still taking the interleaved-merge batch
-// path. Capabilities are resolved per snapshot, so swapping in an index
-// without path support degrades those requests to ErrUnsupported rather
-// than breaking the server.
+// A wave may mix kinds: every query rides the same queues, workers and
+// admission door, with the all-distance worker group still taking the
+// interleaved-merge batch path. Capabilities are resolved per snapshot,
+// so swapping in an index without path support degrades those requests
+// to StatusUnsupported rather than breaking the server.
 //
 // Snapshots are reference-counted, which is what makes serving
 // view-backed (mmap-loaded) indexes safe: every use — a worker group, a
-// direct QueryBatch, a capability warm — pins the snapshot it runs on,
+// capability warm — pins the snapshot it runs on,
 // and an index installed as owned (Options.OwnIndex, SwapRetire) is
 // released (for a view, unmapped) only when the retired snapshot's last
 // pin drops. Hot reload is therefore one SwapRetire: new queries land on
@@ -49,41 +51,49 @@ import (
 	"hublab/internal/flowctl"
 	"hublab/internal/graph"
 	"hublab/internal/hotcache"
+	"hublab/internal/hub"
 	"hublab/internal/index"
 	"hublab/internal/par"
+	"hublab/internal/wire"
 )
 
-// ErrOverloaded reports that a request was not admitted: either its
-// shard queue was full, or the admission controller shed it to protect
-// the queues. Callers should back off (HTTP front ends translate it to
-// 429 + Retry-After).
-var ErrOverloaded = errors.New("server: overloaded")
-
-// ErrClosed reports a request issued after (or concurrent with) Close.
-var ErrClosed = errors.New("server: closed")
-
-// ErrUnsupported reports a query kind (path, eccentricity) the currently
-// served index does not implement. The capability is re-checked per
-// snapshot, so a Swap to a capable index clears the condition without a
-// restart.
-var ErrUnsupported = errors.New("server: query kind not supported by the served index")
-
-// ErrBackendFault reports that the backend panicked (or raised an
-// injected fault) while computing this request's group. The panic was
-// contained: the worker recovered, failed the in-flight group with this
-// error, and resumed serving — the process never crashes and completions
-// never hang. Counted in Stats.Faulted (the panic events themselves in
-// Stats.Panics).
-var ErrBackendFault = errors.New("server: backend fault while serving the request")
-
-// ErrTimeout reports a request that outlived Options.QueryTimeout
-// before its answer was delivered — stuck behind a stalled backend, a
-// never-finishing capability warm, or a queue the workers stopped
-// draining. The caller is unblocked and the abandoned envelope is
-// reclaimed by whichever worker eventually touches it; timed-out
-// requests are counted in Stats.Timeouts and drive the health state
-// machine, never Served.
-var ErrTimeout = errors.New("server: query deadline exceeded")
+// The errors of the adapters are the wire package's status sentinels —
+// one family on both sides of a socket, so errors.Is(err,
+// server.ErrOverloaded) holds for an answer that came back through
+// hubclient exactly as for one from TryQuery.
+var (
+	// ErrOverloaded reports that a request was not admitted: either its
+	// shard queue was full, or the admission controller shed it to
+	// protect the queues. Callers should back off (HTTP front ends
+	// translate it to 429 + Retry-After).
+	ErrOverloaded = wire.ErrOverloaded
+	// ErrClosed reports a request issued after (or concurrent with)
+	// Close.
+	ErrClosed = wire.ErrClosed
+	// ErrUnsupported reports a query kind (path, eccentricity) the
+	// currently served index does not implement. The capability is
+	// re-checked per snapshot, so a Swap to a capable index clears the
+	// condition without a restart.
+	ErrUnsupported = wire.ErrUnsupported
+	// ErrBackendFault reports that the backend panicked (or raised an
+	// injected fault) while computing this request's group. The panic
+	// was contained: the worker recovered, failed the in-flight group
+	// with this error, and resumed serving — the process never crashes
+	// and completions never hang. Counted in Stats.Faulted (the panic
+	// events themselves in Stats.Panics).
+	ErrBackendFault = wire.ErrBackendFault
+	// ErrTimeout reports a request that outlived Options.QueryTimeout
+	// before its answer was delivered — stuck behind a stalled backend,
+	// a never-finishing capability warm, or a queue the workers stopped
+	// draining. The caller is unblocked and the abandoned envelope is
+	// reclaimed by whichever worker eventually touches it; timed-out
+	// requests are counted in Stats.Timeouts and drive the health state
+	// machine, never Served.
+	ErrTimeout = wire.ErrTimeout
+	// ErrBadRequest reports a vertex outside the range of the snapshot
+	// that served the request.
+	ErrBadRequest = wire.ErrBadRequest
+)
 
 // maxBatch bounds the per-shard group buffers; batchSize may be
 // re-tuned below it without resizing shards.
@@ -112,10 +122,9 @@ type Options struct {
 	// QueueDepth is the per-shard request buffer (default 64).
 	QueueDepth int
 	// Admission, when non-nil, attaches a flowctl fair admission
-	// controller to the TryQuery door: clients whose traffic overflows
-	// the shard queues are probabilistically shed at the door (counted in
-	// Stats.Shed) instead of racing everyone else for queue slots.
-	// Blocking Query calls bypass the controller.
+	// controller to Do: clients whose traffic overflows the shard queues
+	// are probabilistically shed at the door (counted in Stats.Shed)
+	// instead of racing everyone else for queue slots.
 	Admission *flowctl.Options
 	// OwnIndex transfers ownership of the initial index to the server:
 	// when the snapshot retires (replaced by SwapRetire, removed by Swap,
@@ -124,22 +133,17 @@ type Options struct {
 	// indexes the caller will not release manually; harmless for
 	// heap-owned ones, whose Release is a no-op.
 	OwnIndex bool
-	// QueryTimeout, when positive, bounds every non-blocking request
-	// (TryQuery, TryPath, TryEccentricity, TryFarthest) end to end —
-	// capability warming, queueing and service. A request that misses the
-	// deadline answers ErrTimeout immediately instead of accumulating
-	// blocked callers behind a stuck backend. Blocking Query calls are
-	// exempt (trusted in-process callers own their own patience).
+	// QueryTimeout, when positive, bounds every Do call end to end —
+	// capability warming, queueing and service of the whole wave. A query
+	// that misses the deadline answers StatusTimeout immediately instead
+	// of accumulating blocked callers behind a stuck backend.
 	QueryTimeout time.Duration
 	// HotCache, when positive, attaches a per-shard hotcache.Cache of at
 	// least this many entries (rounded up to power-of-two sets) to every
 	// shard worker: distance requests probe it before the batch merge,
 	// and computed answers are inserted after. The cache is invalidated
 	// wholesale on Swap/SwapRetire via the snapshot generation, so a hit
-	// can never survive a reload. 0 disables caching. The direct
-	// QueryBatch door never consults the cache — bulk scans would evict
-	// the genuinely hot pairs, and the door has no owning worker to keep
-	// the single-writer arrays safe.
+	// can never survive a reload. 0 disables caching.
 	HotCache int
 	// Health tunes the fault-health state machine (healthy → degraded →
 	// failed, driven by recent panic and timeout counts). The zero value
@@ -163,14 +167,13 @@ type Server struct {
 	// never race a channel close (drained carries the wake-up signal).
 	active  atomic.Int64
 	drained chan struct{}
-	// ctl is the optional fair admission controller of the TryQuery door.
+	// ctl is the optional fair admission controller of Do.
 	ctl      *flowctl.Controller
 	rejected atomic.Uint64
 	shed     atomic.Uint64
-	// Traffic through the direct QueryBatch door, which bypasses the
-	// shard queues and their per-shard counters.
-	direct        atomic.Uint64
-	directBatches atomic.Uint64
+	// refused counts negative ids answered StatusBadRequest at the door;
+	// Stats folds it into Served beside the workers' own refusals.
+	refused atomic.Uint64
 	// gen issues snapshot generation numbers: every installed snapshot
 	// (New, Swap, SwapRetire) gets the next value. Shard workers compare
 	// the generation of the snapshot they pinned against their hot
@@ -197,7 +200,7 @@ type Server struct {
 // makes retiring a snapshot safe under live traffic.
 //
 // refs starts at 1 — the "installed" reference the Server itself holds —
-// and every use (a worker group, a direct QueryBatch, a capability warm)
+// and every use (a worker group, a capability warm)
 // pins it for the duration of the touch. Retiring drops the installed
 // reference; whoever drops refs to zero runs the release, so a
 // view-backed (mmap) index is unmapped exactly once, strictly after the
@@ -222,6 +225,13 @@ type snapshot struct {
 	// and SwapRetire, never by plain Swap, whose caller keeps the old
 	// index.
 	owned bool
+	// n is idx's vertex count, cached at install so every worker group
+	// range-checks its requests against the snapshot it pinned without
+	// a Meta call. It sits down here, in the struct's read-only tail
+	// beside gen, to leave the layout above as it was: workers CAS refs
+	// for every group, and the fields they read for every group must
+	// not share its cache line.
+	n graph.NodeID
 }
 
 // pin acquires a reference on the current snapshot, retrying against
@@ -269,17 +279,6 @@ func (snap *snapshot) release() {
 	}
 }
 
-// Request kinds flowing through the shard queues. Distance requests keep
-// the interleaved-merge batch path; path and eccentricity requests share
-// the same queues, workers and admission door but are answered one by
-// one.
-const (
-	opDistance = iota
-	opPath
-	opEcc
-	opFarthest
-)
-
 // Envelope delivery states: exactly one side — the worker delivering an
 // answer, or a waiter abandoning at its deadline — wins the CAS from
 // pending, so a request resolves exactly once and a timed-out envelope
@@ -290,17 +289,19 @@ const (
 	stAbandoned
 )
 
+// request is one query of a wave in flight: the wire.Query going in,
+// the fields of its wire.Result coming out.
 type request struct {
-	op   uint8
-	u, v graph.NodeID
-	d    graph.Weight
+	kind   uint8 // wire.QDist / QPath / QEcc
+	status uint8 // wire.Status*, written by the worker before delivery
+	u, v   graph.NodeID
+	d      graph.Weight
+	far    graph.NodeID
 	// path carries the caller's destination buffer in and the appended
-	// path out (opPath only); the envelope drops the reference before
+	// path out (QPath only); the envelope drops the reference before
 	// returning to the pool, so the buffer's ownership stays with the
 	// caller.
 	path []graph.NodeID
-	far  graph.NodeID
-	err  error
 	// state arbitrates delivery against deadline abandonment (see the
 	// st* constants).
 	state atomic.Int32
@@ -353,7 +354,7 @@ func New(idx index.Index, opts Options) *Server {
 }
 
 func newSnapshot(idx index.Index, owned bool) *snapshot {
-	ns := &snapshot{idx: idx, owned: owned}
+	ns := &snapshot{idx: idx, n: graph.NodeID(idx.Meta().Vertices), owned: owned}
 	ns.refs.Store(1)
 	if b, ok := idx.(index.Batcher); ok {
 		ns.batch = b
@@ -397,83 +398,200 @@ func (s *Server) release() {
 	}
 }
 
-// Query answers one exact distance query, blocking until a shard worker
-// serves it — even when that means waiting for a queue slot. It is safe
-// for any number of concurrent callers and allocates nothing in steady
-// state. Calling Query after (or concurrent with) Close is a programmer
-// error and panics with a descriptive message; servers exposed to
-// traffic they do not control should use TryQuery, which returns
-// ErrClosed instead. If the backend faults mid-group (a contained
-// panic), Query answers Infinity — the blocking door has no error
-// channel; fault-aware callers should use TryQuery.
-func (s *Server) Query(u, v graph.NodeID) graph.Weight {
-	r, err := s.submit("", opDistance, u, v, nil, true)
-	if err != nil {
-		panic("server: Query called after Close (use TryQuery for a graceful ErrClosed)")
+// Do is the request core, the one way a query enters the server. It
+// resolves qs[i] into rs[i] — status always, answer fields when the
+// status is wire.StatusOK — and returns when every query of the wave
+// has resolved. client identifies the caller for fair load shedding
+// (remote address, connection id, tenant — any stable string). Do never
+// waits for a queue slot and never panics on bad input; per query it
+//
+//   - gates on Close (StatusClosed),
+//   - refuses a negative id, which no index could hold (StatusBadRequest),
+//   - flips the admission controller's shed coin (StatusOverloaded),
+//   - warms the capability a path or eccentricity query needs,
+//   - claims a shard queue slot without blocking (StatusOverloaded),
+//
+// then awaits the answers in order. The queries proceed concurrently
+// across the shards and coalesce into merge groups there, whatever
+// their kinds; a single query is the wave of one. The worker that
+// serves a query range-checks its vertices against the snapshot it
+// pinned (StatusBadRequest), so a reload to a smaller index cannot slip
+// between check and use. With Options.QueryTimeout set, one deadline
+// bounds the whole call: when it fires, every query still unanswered
+// resolves StatusTimeout and its envelope is left to the worker.
+//
+// A path is appended to rs[i].Path as passed in (callers reusing
+// storage pass it truncated); the other fields of rs[i] are
+// overwritten. rs must hold at least len(qs) entries. Zero allocations
+// in steady state, and the exact accounting identity holds query by
+// query: each lands in exactly one of Stats.Served / Rejected / Shed /
+// Faulted / Timeouts (a range-checked refusal is an answer, so Served).
+func (s *Server) Do(client string, qs []wire.Query, rs []wire.Result) {
+	// A small wave — every single query — keeps its envelope list on the
+	// stack: a sync.Pool round trip per call is cheap only until the
+	// caller wakes on another P, and then it is a steal or an allocation.
+	var small [8]*request
+	if len(qs) <= len(small) {
+		s.do(small[:0], client, qs, rs)
+		return
 	}
-	d := r.d
-	s.putRequest(r)
-	return d
+	w := wavePool.Get().(*wave)
+	w.reqs = s.do(w.reqs[:0], client, qs, rs)
+	wavePool.Put(w)
 }
 
-// TryQuery is the non-blocking admission door for untrusted traffic: it
-// never waits for a queue slot and never panics. client identifies the
-// caller for fair load shedding (remote address, connection id, tenant —
-// any stable string). It returns ErrOverloaded when the request was shed
-// by the admission controller or found its shard queue full, ErrClosed
-// after Close, ErrTimeout past Options.QueryTimeout, and ErrBackendFault
-// when a contained backend panic failed the request's group; an admitted
-// request still blocks until its answer is computed or the deadline
-// fires. Zero allocations in steady state.
+// do is Do on the caller's scratch: reqs (empty, any capacity) receives
+// the in-flight envelope of each query — nil where the door resolved it
+// — and is returned, emptied, for reuse.
+func (s *Server) do(reqs []*request, client string, qs []wire.Query, rs []wire.Result) []*request {
+	rs = rs[:len(qs)]
+	for i := range qs {
+		rs[i] = wire.Result{Kind: qs[i].Kind, Status: wire.StatusClosed, Dist: graph.Infinity, Far: -1, Path: rs[i].Path}
+	}
+	if len(qs) == 0 || !s.acquire() {
+		return reqs
+	}
+	defer s.release()
+	// The deadline timer (if any) is armed before capability warming:
+	// QueryTimeout bounds the call end to end, and a stalled warm is
+	// exactly the kind of hang it exists to shed.
+	var deadline <-chan time.Time
+	if s.timeout > 0 {
+		t := getTimer(s.timeout)
+		defer putTimer(t)
+		deadline = t.C
+	}
+	// expired latches once the deadline has fired: the timer channel
+	// yields exactly once, so nothing may select on it again, and every
+	// query not yet answered is a timeout.
+	expired := false
+	for i := range qs {
+		var r *request
+		if expired {
+			rs[i].Status = s.timedOut()
+		} else {
+			r, rs[i].Status = s.admit(client, &qs[i], rs[i].Path, deadline)
+			// Only a warm cut short by the deadline times out here.
+			expired = rs[i].Status == wire.StatusTimeout
+		}
+		reqs = append(reqs, r)
+	}
+	for i, r := range reqs {
+		if r == nil {
+			continue
+		}
+		delivered := false
+		switch {
+		case expired:
+		case deadline == nil:
+			<-r.done
+			delivered = true
+		default:
+			select {
+			case <-r.done:
+				delivered = true
+			case <-deadline:
+				expired = true
+			}
+		}
+		if !delivered {
+			if r.state.CompareAndSwap(stPending, stAbandoned) {
+				// The envelope is now the worker's to reclaim; it must
+				// not return to the pool through this path.
+				rs[i].Status = s.timedOut()
+				continue
+			}
+			// Lost the race: the worker delivered concurrently with the
+			// deadline — consume the signal and keep the answer.
+			<-r.done
+		}
+		rs[i].Status, rs[i].Dist, rs[i].Far, rs[i].Path = r.status, r.d, r.far, r.path
+		s.putRequest(r)
+		if s.ctl != nil {
+			s.ctl.OnServed(client)
+		}
+	}
+	return reqs[:0]
+}
+
+// admit takes one query through the door into a shard queue. It returns
+// the enqueued envelope, or nil and the status that resolved the query
+// on the spot.
+func (s *Server) admit(client string, q *wire.Query, dst []graph.NodeID, deadline <-chan time.Time) (*request, uint8) {
+	// An id no index could hold is refused ahead of admission, the way a
+	// door refuses a line it cannot parse — and the way hubclient must,
+	// the frame format having no way to carry it — so overload never
+	// changes the verdict on it.
+	if q.U < 0 || (q.Kind != wire.QEcc && q.V < 0) {
+		s.refused.Add(1)
+		return nil, wire.StatusBadRequest
+	}
+	if s.ctl != nil && s.ctl.Shed(client) {
+		s.shed.Add(1)
+		return nil, wire.StatusOverloaded
+	}
+	// Lazily materialized capability state (the matrix next-hop table,
+	// the inverted eccentricity lists) is warmed here, on the submitting
+	// side: the one-time build blocks only this caller, never a shard
+	// worker with other clients' requests queued behind it. The warm is
+	// panic-contained and deadline-bounded (warmFor); once a snapshot is
+	// warmed the check is one atomic load.
+	if q.Kind != wire.QDist {
+		if err := s.warmFor(q.Kind, deadline); err != nil {
+			return nil, wire.StatusOf(err)
+		}
+	}
+	r := s.pool.Get().(*request)
+	r.kind, r.u, r.v, r.path = q.Kind, q.U, q.V, dst
+	r.status, r.d, r.far = wire.StatusOK, graph.Infinity, -1
+	r.state.Store(stPending)
+	sh := s.shards[s.rr.Add(1)%uint64(len(s.shards))]
+	select {
+	case sh.ch <- r:
+		return r, wire.StatusOK
+	default:
+		s.putRequest(r)
+		s.rejected.Add(1)
+		if s.ctl != nil {
+			s.ctl.OnQueueFull(client)
+		}
+		return nil, wire.StatusOverloaded
+	}
+}
+
+// timedOut accounts one query abandoned at the deadline.
+func (s *Server) timedOut() uint8 {
+	s.timeouts.Add(1)
+	s.health.noteTimeout()
+	return wire.StatusTimeout
+}
+
+// TryQuery answers one distance query: Do's wave of one, its status as
+// an error of the Err* family.
 func (s *Server) TryQuery(client string, u, v graph.NodeID) (graph.Weight, error) {
-	r, err := s.submit(client, opDistance, u, v, nil, false)
-	if err != nil {
-		return graph.Infinity, err
-	}
-	d, qerr := r.d, r.err
-	s.putRequest(r)
-	return d, qerr
+	qs := [1]wire.Query{{Kind: wire.QDist, U: u, V: v}}
+	var rs [1]wire.Result
+	s.Do(client, qs[:], rs[:])
+	return rs[0].Dist, wire.StatusError(rs[0].Status)
 }
 
-// TryPath answers one witness-path query through the same shard queues
-// and admission door as TryQuery: the path vertices (u→v inclusive) are
-// appended to dst, whose ownership stays with the caller — reusing it
-// keeps the door allocation-free apart from the path storage itself.
-// Nothing is appended for unreachable pairs. Backends without the path
-// capability answer ErrUnsupported; a hub-label index served from a
-// version-1 container reports hub.ErrNoParents.
+// TryPath answers one witness-path query: the path vertices (u→v
+// inclusive) are appended to dst, whose ownership stays with the caller
+// — reusing it keeps the call allocation-free apart from the path
+// storage itself. Nothing is appended for unreachable pairs.
 func (s *Server) TryPath(client string, u, v graph.NodeID, dst []graph.NodeID) ([]graph.NodeID, error) {
-	r, err := s.submit(client, opPath, u, v, dst, false)
-	if err != nil {
-		return dst, err
-	}
-	path, qerr := r.path, r.err
-	s.putRequest(r)
-	return path, qerr
+	qs := [1]wire.Query{{Kind: wire.QPath, U: u, V: v}}
+	rs := [1]wire.Result{{Path: dst}}
+	s.Do(client, qs[:], rs[:])
+	return rs[0].Path, wire.StatusError(rs[0].Status)
 }
 
-// TryEccentricity answers one eccentricity query under the admission
-// door. Backends without the capability answer ErrUnsupported.
+// TryEccentricity answers one eccentricity query.
 func (s *Server) TryEccentricity(client string, v graph.NodeID) (graph.Weight, error) {
-	r, err := s.submit(client, opEcc, v, v, nil, false)
-	if err != nil {
-		return graph.Infinity, err
-	}
-	d, qerr := r.d, r.err
-	s.putRequest(r)
-	return d, qerr
-}
-
-// TryFarthest answers one farthest-vertex query (the vertex attaining
-// Eccentricity(v), and that distance) under the admission door.
-func (s *Server) TryFarthest(client string, v graph.NodeID) (graph.NodeID, graph.Weight, error) {
-	r, err := s.submit(client, opFarthest, v, v, nil, false)
-	if err != nil {
-		return -1, graph.Infinity, err
-	}
-	far, d, qerr := r.far, r.d, r.err
-	s.putRequest(r)
-	return far, d, qerr
+	qs := [1]wire.Query{{Kind: wire.QEcc, U: v}}
+	var rs [1]wire.Result
+	s.Do(client, qs[:], rs[:])
+	return rs[0].Dist, wire.StatusError(rs[0].Status)
 }
 
 // putRequest scrubs an answered envelope and returns it to the pool. The
@@ -481,11 +599,10 @@ func (s *Server) TryFarthest(client string, v graph.NodeID) (graph.NodeID, graph
 // into the pool.
 func (s *Server) putRequest(r *request) {
 	r.path = nil
-	r.err = nil
 	s.pool.Put(r)
 }
 
-// timerPool recycles deadline timers across requests so the QueryTimeout
+// timerPool recycles deadline timers across calls so the QueryTimeout
 // path stays allocation-free in steady state.
 var timerPool = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
 
@@ -505,83 +622,6 @@ func putTimer(t *time.Timer) {
 	timerPool.Put(t)
 }
 
-// submit is the common door: gate against Close, optionally consult the
-// admission controller, enqueue (blocking or not), await the answer or
-// the deadline. On success the caller owns the returned envelope and
-// must release it with putRequest after copying the answer out; the
-// envelope's err field carries per-request backend faults.
-func (s *Server) submit(client string, op uint8, u, v graph.NodeID, dst []graph.NodeID, block bool) (*request, error) {
-	if !s.acquire() {
-		return nil, ErrClosed
-	}
-	defer s.release()
-	if !block && s.ctl != nil && s.ctl.Shed(client) {
-		s.shed.Add(1)
-		return nil, ErrOverloaded
-	}
-	// The deadline timer (if any) is armed before capability warming:
-	// QueryTimeout bounds the request end to end, and a stalled warm is
-	// exactly the kind of hang it exists to shed.
-	var deadline <-chan time.Time
-	if !block && s.timeout > 0 {
-		t := getTimer(s.timeout)
-		defer putTimer(t)
-		deadline = t.C
-	}
-	// Lazily materialized capability state (the matrix next-hop table,
-	// the inverted eccentricity lists) is warmed here, on the submitting
-	// side: the one-time build blocks only this caller, never a shard
-	// worker with other clients' requests queued behind it. The warm is
-	// panic-contained and deadline-bounded (warmFor); once a snapshot is
-	// warmed the check is one atomic load.
-	if op != opDistance {
-		if err := s.warmFor(op, deadline); err != nil {
-			return nil, err
-		}
-	}
-	r := s.pool.Get().(*request)
-	r.op, r.u, r.v, r.path = op, u, v, dst
-	r.state.Store(stPending)
-	sh := s.shards[s.rr.Add(1)%uint64(len(s.shards))]
-	if block {
-		sh.ch <- r
-	} else {
-		select {
-		case sh.ch <- r:
-		default:
-			s.putRequest(r)
-			s.rejected.Add(1)
-			if s.ctl != nil {
-				s.ctl.OnQueueFull(client)
-			}
-			return nil, ErrOverloaded
-		}
-	}
-	if deadline == nil {
-		<-r.done
-	} else {
-		select {
-		case <-r.done:
-		case <-deadline:
-			if r.state.CompareAndSwap(stPending, stAbandoned) {
-				// The envelope is now the worker's to reclaim; it must
-				// not return to the pool through this path.
-				s.timeouts.Add(1)
-				s.health.noteTimeout()
-				return nil, ErrTimeout
-			}
-			// Lost the race: the worker delivered concurrently with the
-			// deadline — the answer arrived, consume its signal and
-			// treat the request as served.
-			<-r.done
-		}
-	}
-	if !block && s.ctl != nil {
-		s.ctl.OnServed(client)
-	}
-	return r, nil
-}
-
 // warmFlight single-flights one capability warm per snapshot. The first
 // cold request starts the warm in a goroutine and every concurrent cold
 // request waits on the same broadcast channel, each bounded by its own
@@ -598,13 +638,13 @@ type warmFlight struct {
 	err  error
 }
 
-// warmFor runs the capability warm for op, bounded by the deadline and
+// warmFor runs the capability warm for a query kind, bounded by the deadline and
 // contained against panics. The common case — the snapshot has already
 // warmed this capability — is one atomic load; cold requests join the
 // snapshot's single warm attempt so their waits can be abandoned at the
 // deadline (the warm itself keeps running and completes the snapshot
 // for everyone behind it).
-func (s *Server) warmFor(op uint8, deadline <-chan time.Time) error {
+func (s *Server) warmFor(kind uint8, deadline <-chan time.Time) error {
 	snap := s.pin()
 	if snap == nil {
 		return ErrClosed
@@ -614,7 +654,7 @@ func (s *Server) warmFor(op uint8, deadline <-chan time.Time) error {
 		return nil
 	}
 	w := &snap.eccWarm
-	if op == opPath {
+	if kind == wire.QPath {
 		w = &snap.pathsWarm
 	}
 	if w.warmed.Load() {
@@ -635,7 +675,7 @@ func (s *Server) warmFor(op uint8, deadline <-chan time.Time) error {
 		// holds refs nonzero, so a plain Add cannot resurrect a retired
 		// snapshot here.
 		snap.refs.Add(1)
-		go s.runWarm(snap, op, w, ch)
+		go s.runWarm(snap, kind, w, ch)
 	}
 	w.mu.Unlock()
 	if deadline != nil {
@@ -643,8 +683,7 @@ func (s *Server) warmFor(op uint8, deadline <-chan time.Time) error {
 		case <-ch:
 		case <-deadline:
 			snap.unpin()
-			s.timeouts.Add(1)
-			s.health.noteTimeout()
+			s.timedOut()
 			return ErrTimeout
 		}
 	} else {
@@ -665,7 +704,7 @@ func (s *Server) warmFor(op uint8, deadline <-chan time.Time) error {
 // runWarm executes one capability warm attempt, contained against
 // panics. It owns one snapshot reference and the flight's broadcast
 // channel.
-func (s *Server) runWarm(snap *snapshot, op uint8, w *warmFlight, ch chan struct{}) {
+func (s *Server) runWarm(snap *snapshot, kind uint8, w *warmFlight, ch chan struct{}) {
 	defer snap.unpin()
 	err := func() (err error) {
 		defer func() {
@@ -678,7 +717,7 @@ func (s *Server) runWarm(snap *snapshot, op uint8, w *warmFlight, ch chan struct
 		if ferr := faultinject.Fire(faultinject.PointServerWarm); ferr != nil {
 			return ErrBackendFault
 		}
-		if op == opPath {
+		if kind == wire.QPath {
 			snap.warm.WarmPaths()
 		} else {
 			snap.warm.WarmEccentricity()
@@ -693,37 +732,6 @@ func (s *Server) runWarm(snap *snapshot, op uint8, w *warmFlight, ch chan struct
 	w.done = nil
 	w.mu.Unlock()
 	close(ch)
-}
-
-// QueryBatch answers pairs[k] into out[k] directly on the current
-// snapshot, bypassing the shard queues — the batch is already a group, so
-// it goes straight to the index's interleaved merge (or a scalar loop for
-// backends without one). Zero allocations. It never touches the shard
-// channels, so unlike Query it stays safe (and keeps answering on the
-// final snapshot) during and after Close — except when that final
-// snapshot was owned (Options.OwnIndex, SwapRetire) and has therefore
-// been released by Close, in which case every pair answers Infinity.
-func (s *Server) QueryBatch(pairs [][2]graph.NodeID, out []graph.Weight) {
-	if len(pairs) == 0 {
-		return
-	}
-	s.direct.Add(uint64(len(pairs)))
-	s.directBatches.Add(1)
-	snap := s.pin()
-	if snap == nil {
-		for i := range pairs {
-			out[i] = graph.Infinity
-		}
-		return
-	}
-	defer snap.unpin()
-	if snap.batch != nil {
-		snap.batch.DistanceBatch(pairs, out)
-		return
-	}
-	for i, p := range pairs {
-		out[i] = snap.idx.Distance(p[0], p[1])
-	}
 }
 
 // Index returns the currently served index snapshot. The reference is
@@ -781,17 +789,17 @@ func (s *Server) SwapRetire(next index.Index) {
 type Stats struct {
 	// Shards is the worker count.
 	Shards int
-	// Served is the total number of requests answered.
+	// Served is the total number of requests answered — with a result
+	// or with a refusal of their vertex ids (StatusBadRequest).
 	Served uint64
 	// Batches is the number of DistanceBatch groups issued; Served /
-	// Batches approximates the achieved coalescing factor (≤ 3 via the
-	// shard queues; direct QueryBatch calls count as one group each).
+	// Batches approximates the achieved coalescing factor (≤ 3).
 	Batches uint64
-	// Rejected counts TryQuery requests turned away because their shard
-	// queue was full at arrival.
+	// Rejected counts requests turned away because their shard queue
+	// was full at arrival.
 	Rejected uint64
-	// Shed counts TryQuery requests dropped at the door by the fair
-	// admission controller (always 0 without Options.Admission).
+	// Shed counts requests dropped at the door by the fair admission
+	// controller (always 0 without Options.Admission).
 	Shed uint64
 	// PerClientHot estimates the number of distinct client flows the
 	// admission controller is currently throttling (0 without a
@@ -811,16 +819,6 @@ type Stats struct {
 	Faulted uint64
 	// Timeouts counts requests abandoned at Options.QueryTimeout.
 	Timeouts uint64
-	// Direct and DirectBatches count queries and calls through the
-	// direct QueryBatch door, which bypasses the shard queues, the
-	// admission controller, and the hot cache. Direct traffic is
-	// included in Served and DirectBatches in Batches, so the exact
-	// accounting identity reads: Served + Rejected + Shed + Faulted +
-	// Timeouts == (requests submitted through the queue doors) +
-	// Direct. Subtract Direct from Served to reason about queue-door
-	// traffic alone.
-	Direct        uint64
-	DirectBatches uint64
 	// HotHits / HotMisses / HotEvicts aggregate the per-shard hot
 	// result caches (all zero when Options.HotCache is 0). A hit is a
 	// distance request answered without touching the index; hits are
@@ -837,20 +835,16 @@ type Stats struct {
 	// behavior, not a fault. HealthReason says which threshold tripped.
 	Health       HealthState
 	HealthReason string
-	// PerShard is the served count of each shard. Queries answered
-	// through the direct QueryBatch door are counted in Served and
-	// Batches but belong to no shard.
+	// PerShard is the served count of each shard.
 	PerShard []uint64
 }
 
 // Stats returns a snapshot of the served-traffic counters. A request's
-// outcome is visible here no later than its reply: every TryQuery has
-// been counted exactly once across Served / Rejected / Shed / Faulted /
-// Timeouts by the time it returns, and those five buckets sum exactly
-// to the submitted-request count plus Direct — queries through the
-// direct QueryBatch door are Served without ever being submitted to a
-// queue, and the Direct field makes that contribution explicit rather
-// than leaving the identity silently violated.
+// outcome is visible here no later than its reply: every query of a Do
+// call has been counted exactly once across Served / Rejected / Shed /
+// Faulted / Timeouts by the time the call returns, and those five
+// buckets sum exactly to the number of queries submitted while the
+// server was open.
 func (s *Server) Stats() Stats {
 	st := Stats{Shards: len(s.shards), PerShard: make([]uint64, len(s.shards))}
 	for i, sh := range s.shards {
@@ -860,6 +854,7 @@ func (s *Server) Stats() Stats {
 		st.Batches += sh.batches.Load()
 		st.Queued += len(sh.ch)
 	}
+	st.Served += s.refused.Load()
 	for _, sh := range s.shards {
 		if sh.cache != nil {
 			h, m, e := sh.cache.Stats()
@@ -868,10 +863,6 @@ func (s *Server) Stats() Stats {
 			st.HotEvicts += e
 		}
 	}
-	st.Direct = s.direct.Load()
-	st.DirectBatches = s.directBatches.Load()
-	st.Served += st.Direct
-	st.Batches += st.DirectBatches
 	st.Rejected = s.rejected.Load()
 	st.Shed = s.shed.Load()
 	st.Panics = s.panics.Load()
@@ -889,14 +880,13 @@ func (s *Server) Stats() Stats {
 func (s *Server) Health() (HealthState, string) { return s.health.state() }
 
 // Close stops the workers and waits for them to drain. It is safe to
-// call concurrently with TryQuery (submissions that lose the race get
-// ErrClosed) and with in-flight Query calls, which are answered before
-// the workers exit; only the first caller performs the drain, later
-// calls return immediately. Stats remains usable after Close, and so
-// does QueryBatch on the final snapshot — unless that snapshot was owned
-// (Options.OwnIndex, SwapRetire), in which case Close retires it too,
-// releasing its resources after the workers drain so an owned mapping
-// can never outlive the server.
+// call concurrently with Do: calls that lose the race resolve
+// StatusClosed, calls already past the gate are answered before the
+// workers exit. Only the first caller performs the drain, later calls
+// return immediately. Stats remains usable after Close. A final
+// snapshot that was owned (Options.OwnIndex, SwapRetire) is retired
+// too, releasing its resources after the workers drain so an owned
+// mapping can never outlive the server.
 func (s *Server) Close() {
 	if s.closing.Swap(true) {
 		return
@@ -912,9 +902,8 @@ func (s *Server) Close() {
 	s.wg.Wait()
 	// Workers are gone and no submission can pass the gate: retiring the
 	// final snapshot now releases an owned index with nothing in flight.
-	// Un-owned snapshots keep their installed reference so QueryBatch
-	// stays answerable forever (release would be a no-op anyway, but the
-	// pin must keep succeeding).
+	// Un-owned snapshots keep their installed reference so Meta keeps
+	// answering (release would be a no-op anyway).
 	if snap := s.snap.Load(); snap.owned {
 		snap.retire()
 	}
@@ -958,7 +947,7 @@ func (s *Server) run(sh *shard) {
 // shard's hot cache (when enabled) for distance requests before paying
 // for the merge and feeding computed answers back in. A panic out of
 // the backend — or an injected worker fault — is recovered here: every
-// undelivered request in the group fails with ErrBackendFault (counted
+// undelivered request in the group fails StatusBackendFault (counted
 // in Faulted, the panic event in Panics), completions are still
 // signaled so no caller ever hangs, and the worker loop resumes. The
 // snapshot pin is dropped on every path, so fault containment never
@@ -993,34 +982,42 @@ func (s *Server) serveGroup(sh *shard, n int) {
 	}
 	if sh.cache != nil {
 		// Validate the cache against the snapshot this group is pinned
-		// to, then answer distance hits immediately and compact the
-		// misses to the front. ResetIfStale keys on the pinned
-		// snapshot's generation, so a hit is by construction an answer
-		// this exact snapshot once computed — a Swap racing this group
-		// cannot smuggle an old index's answer past the reset.
+		// to. ResetIfStale keys on the pinned snapshot's generation, so a
+		// hit is by construction an answer this exact snapshot once
+		// computed — a Swap racing this group cannot smuggle an old
+		// index's answer past the reset.
 		sh.cache.ResetIfStale(snap.gen)
-		m := 0
-		for i := 0; i < n; i++ {
-			r := sh.reqs[i]
-			sh.reqs[i] = nil
-			if r.op == opDistance {
-				if d, ok := sh.cache.Lookup(hotcache.Key(r.u, r.v)); ok {
-					r.d = d
-					s.deliver(sh, r)
-					continue
-				}
+	}
+	// Answer on the spot what needs no backend — a vertex outside this
+	// snapshot's range (checked here, against the snapshot that serves
+	// the request, so no reload can slip between check and use), a
+	// distance the hot cache holds — and compact the rest to the front.
+	m := 0
+	for i := 0; i < n; i++ {
+		r := sh.reqs[i]
+		sh.reqs[i] = nil
+		if uint32(r.u) >= uint32(snap.n) || (r.kind != wire.QEcc && uint32(r.v) >= uint32(snap.n)) {
+			r.status = wire.StatusBadRequest
+			s.deliver(sh, r)
+			continue
+		}
+		if sh.cache != nil && r.kind == wire.QDist {
+			if d, ok := sh.cache.Lookup(hotcache.Key(r.u, r.v)); ok {
+				r.d = d
+				s.deliver(sh, r)
+				continue
 			}
-			sh.reqs[m] = r
-			m++
 		}
-		n = m
-		if n == 0 {
-			return
-		}
+		sh.reqs[m] = r
+		m++
+	}
+	n = m
+	if n == 0 {
+		return
 	}
 	allDist := true
 	for i := 0; i < n; i++ {
-		if sh.reqs[i].op != opDistance {
+		if sh.reqs[i].kind != wire.QDist {
 			allDist = false
 			break
 		}
@@ -1043,7 +1040,7 @@ func (s *Server) serveGroup(sh *shard, n int) {
 		// go into the cache before delivery, so an immediate repeat of
 		// the same pair hits even under adversarial timing.
 		for i := 0; i < n; i++ {
-			if r := sh.reqs[i]; r.op == opDistance && r.err == nil {
+			if r := sh.reqs[i]; r.kind == wire.QDist {
 				sh.cache.Insert(hotcache.Key(r.u, r.v), r.d)
 			}
 		}
@@ -1070,12 +1067,12 @@ func (s *Server) deliver(sh *shard, r *request) {
 	s.putRequest(r)
 }
 
-// failRequest resolves a request with ErrBackendFault (or recycles it if
+// failRequest resolves a request StatusBackendFault (or recycles it if
 // its waiter already timed out). The answer fields are forced to the
-// unreachable shape so a pooled envelope's stale values can never leak
-// into a fault reply.
+// unreachable shape so a half-computed value can never leak into a fault
+// reply.
 func (s *Server) failRequest(r *request) {
-	r.err = ErrBackendFault
+	r.status = wire.StatusBackendFault
 	r.d = graph.Infinity
 	r.far = -1
 	if r.state.CompareAndSwap(stPending, stDelivered) {
@@ -1086,33 +1083,29 @@ func (s *Server) failRequest(r *request) {
 	s.putRequest(r)
 }
 
-// serveOne answers a single request of any kind on one snapshot. Requests
-// against capabilities the snapshot lacks degrade to ErrUnsupported —
-// never a panic, and re-evaluated per snapshot so Swap can add or remove
-// capabilities under live traffic.
+// serveOne answers a single in-range request of any kind on one
+// snapshot. Requests against capabilities the snapshot lacks degrade to
+// StatusUnsupported — never a panic, and re-evaluated per snapshot so
+// Swap can add or remove capabilities under live traffic.
 func serveOne(snap *snapshot, r *request) {
-	switch r.op {
-	case opPath:
-		if snap.paths == nil {
-			r.err = ErrUnsupported
-			return
-		}
-		r.path, r.err = snap.paths.AppendPath(r.path, r.u, r.v)
-	case opEcc:
-		if snap.ecc == nil {
-			r.err = ErrUnsupported
-			return
-		}
-		r.d, r.err = snap.ecc.Eccentricity(r.u)
-	case opFarthest:
-		if snap.ecc == nil {
-			r.err = ErrUnsupported
-			return
-		}
-		r.far, r.d, r.err = snap.ecc.Farthest(r.u)
-	default:
+	var err error
+	switch {
+	case r.kind == wire.QDist:
 		r.d = snap.idx.Distance(r.u, r.v)
+		return
+	case r.kind == wire.QPath && snap.paths != nil:
+		r.path, err = snap.paths.AppendPath(r.path, r.u, r.v)
+	case r.kind == wire.QEcc && snap.ecc != nil:
+		r.far, r.d, err = snap.ecc.Farthest(r.u)
+	default:
+		err = ErrUnsupported
 	}
+	// A hub-label index served from a version-1 container has the path
+	// methods but no parent column: the same missing capability.
+	if errors.Is(err, hub.ErrNoParents) {
+		err = ErrUnsupported
+	}
+	r.status = wire.StatusOf(err)
 }
 
 // String summarizes the server for logs.

@@ -23,11 +23,11 @@ func TestServerHotCacheHits(t *testing.T) {
 	const rounds = 50
 	for r := 0; r < rounds; r++ {
 		for _, p := range pairs {
-			if got := srv.Query(p[0], p[1]); got != truth[p[0]][p[1]] {
+			if got := query(srv, p[0], p[1]); got != truth[p[0]][p[1]] {
 				t.Fatalf("round %d (%d,%d): got %d, want %d", r, p[0], p[1], got, truth[p[0]][p[1]])
 			}
 			// The reversed pair must hit the same canonical entry.
-			if got := srv.Query(p[1], p[0]); got != truth[p[0]][p[1]] {
+			if got := query(srv, p[1], p[0]); got != truth[p[0]][p[1]] {
 				t.Fatalf("round %d reversed (%d,%d): got %d", r, p[1], p[0], got)
 			}
 		}
@@ -77,7 +77,7 @@ func TestServerHotCacheSwapInvalidates(t *testing.T) {
 	srv := New(idx1, Options{Shards: 1, HotCache: 256})
 	defer srv.Close()
 	for i := 0; i < 10; i++ { // warm the entry well past the first miss
-		if got := srv.Query(pu, pv); got != truth1[pu][pv] {
+		if got := query(srv, pu, pv); got != truth1[pu][pv] {
 			t.Fatalf("pre-swap: got %d, want %d", got, truth1[pu][pv])
 		}
 	}
@@ -89,7 +89,7 @@ func TestServerHotCacheSwapInvalidates(t *testing.T) {
 		t.Fatal("Swap returned the wrong index")
 	}
 	for i := 0; i < 3; i++ {
-		if got := srv.Query(pu, pv); got != truth2[pu][pv] {
+		if got := query(srv, pu, pv); got != truth2[pu][pv] {
 			t.Fatalf("post-swap query %d: got %d, want %d (stale cache?)", i, got, truth2[pu][pv])
 		}
 	}
@@ -126,7 +126,7 @@ func TestServerHotCacheConcurrentSwaps(t *testing.T) {
 				// Zipf-ish: a few hot pairs plus a cold tail.
 				u := graph.NodeID((c + k*k) % 7 * 11 % 200)
 				v := graph.NodeID((k % 13) * 15 % 200)
-				if got := srv.Query(u, v); got != truth[u][v] {
+				if got := query(srv, u, v); got != truth[u][v] {
 					select {
 					case fail <- "mismatch under swaps":
 					default:

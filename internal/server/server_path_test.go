@@ -8,6 +8,7 @@ import (
 
 	"hublab/internal/graph"
 	"hublab/internal/index/indextest"
+	"hublab/internal/wire"
 )
 
 // TestServerPathAndEccDoors drives the new query kinds end to end through
@@ -41,15 +42,13 @@ func TestServerPathAndEccDoors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("TryEccentricity: %v", err)
 		}
-		far, fd, err := srv.TryFarthest("c", v)
-		if err != nil {
-			t.Fatalf("TryFarthest: %v", err)
+		rs := make([]wire.Result, 1)
+		srv.Do("c", []wire.Query{{Kind: wire.QEcc, U: v}}, rs)
+		if rs[0].Status != wire.StatusOK || rs[0].Dist != ecc {
+			t.Fatalf("Do ecc(%d) = status %d, %d; TryEccentricity %d", v, rs[0].Status, rs[0].Dist, ecc)
 		}
-		if fd != ecc {
-			t.Fatalf("farthest distance %d != ecc %d", fd, ecc)
-		}
-		if got, err := srv.TryQuery("c", v, far); err != nil || got != ecc {
-			t.Fatalf("distance(%d, far=%d) = %d/%v, ecc %d", v, far, got, err, ecc)
+		if got, err := srv.TryQuery("c", v, rs[0].Far); err != nil || got != ecc {
+			t.Fatalf("distance(%d, far=%d) = %d/%v, ecc %d", v, rs[0].Far, got, err, ecc)
 		}
 	}
 }
@@ -66,9 +65,6 @@ func TestServerUnsupportedKinds(t *testing.T) {
 	if _, err := srv.TryEccentricity("c", 0); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("TryEccentricity on fixed index = %v, want ErrUnsupported", err)
 	}
-	if _, _, err := srv.TryFarthest("c", 0); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("TryFarthest on fixed index = %v, want ErrUnsupported", err)
-	}
 
 	g, idx := buildIndex(t, 60, 100, 5)
 	srv.Swap(idx)
@@ -81,7 +77,7 @@ func TestServerUnsupportedKinds(t *testing.T) {
 	}
 }
 
-// TestServerMixedKindsConcurrent hammers all four kinds from many
+// TestServerMixedKindsConcurrent hammers all three kinds from many
 // goroutines over small queues so the workers see mixed coalesced groups;
 // every request must be answered or rejected cleanly, and Stats must
 // account for each served request exactly once.
@@ -101,15 +97,13 @@ func TestServerMixedKindsConcurrent(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				u, v := graph.NodeID((w*31+i)%int(n)), graph.NodeID((w*17+i*3)%int(n))
 				var err error
-				switch i % 4 {
+				switch i % 3 {
 				case 0:
 					_, err = srv.TryQuery("c", u, v)
 				case 1:
 					buf, err = srv.TryPath("c", u, v, buf[:0])
-				case 2:
-					_, err = srv.TryEccentricity("c", u)
 				default:
-					_, _, err = srv.TryFarthest("c", u)
+					_, err = srv.TryEccentricity("c", u)
 				}
 				switch {
 				case err == nil:

@@ -41,7 +41,10 @@ func RunCachedServing(t *testing.T, g *graph.Graph, idx index.Index, seed int64)
 	check := func(phase string) {
 		t.Helper()
 		for _, p := range pairs {
-			got := srv.Query(p[0], p[1])
+			got, err := srv.TryQuery("cached", p[0], p[1])
+			if err != nil {
+				t.Fatalf("%s: TryQuery(%d,%d): %v", phase, p[0], p[1], err)
+			}
 			if want := truth[p[0]][p[1]]; got != want {
 				t.Fatalf("%s: cached server says d(%d,%d)=%d, truth %d", phase, p[0], p[1], got, want)
 			}

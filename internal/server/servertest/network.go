@@ -2,13 +2,12 @@ package servertest
 
 import (
 	"bufio"
-	"errors"
 	"math/rand"
 	"net"
+	"slices"
 	"testing"
 
 	"hublab/internal/graph"
-	"hublab/internal/hub"
 	"hublab/internal/index"
 	"hublab/internal/index/indextest"
 	"hublab/internal/netserve"
@@ -19,12 +18,11 @@ import (
 
 // RunNetworkServing asserts that serving idx through the binary network
 // door is answer-for-answer indistinguishable from calling the server
-// in-process: every distance, witness path, and eccentricity that comes
-// back over a real loopback TCP connection must equal what TryQuery,
-// TryPath, and TryFarthest return for the same input, and distances are
-// additionally checked against brute-force truth. Mixed frames take the
-// per-query door path; a final all-distance frame takes the batched
-// TryQueryBatch fast path, so both serving routes are pinned.
+// in-process: every status, distance, witness path, and eccentricity
+// that comes back over a real loopback TCP connection must equal what
+// server.Do fills for the same wave, and distances are additionally
+// checked against brute-force truth. Mixed frames and a final
+// all-distance frame both ride the one core.
 func RunNetworkServing(t *testing.T, g *graph.Graph, idx index.Index, seed int64) {
 	t.Helper()
 	n := g.NumNodes()
@@ -96,42 +94,37 @@ func RunNetworkServing(t *testing.T, g *graph.Graph, idx index.Index, seed int64
 
 	// Phase 1: mixed frames — one distance, one path, one eccentricity
 	// per frame, each compared against the in-process answer for the
-	// identical input. The wire client and the in-process caller are
+	// identical wave. The wire client and the in-process caller are
 	// distinct admission identities, but with no induced overload both
-	// must be admitted, so OK/error parity is part of the contract.
-	var pathBuf []graph.NodeID
+	// must be admitted, so status parity is part of the contract.
+	want := make([]wire.Result, 3)
 	for _, p := range pairs {
 		u, v := p[0], p[1]
-		got := roundTrip([]wire.Query{
+		qs := []wire.Query{
 			{Kind: wire.QDist, U: u, V: v},
 			{Kind: wire.QPath, U: u, V: v},
 			{Kind: wire.QEcc, U: u},
-		})
-
-		wantDist, derr := srv.TryQuery("inproc", u, v)
-		checkStatus(t, "dist", u, v, got[0].Status, derr)
-		if derr == nil {
-			if got[0].Dist != wantDist {
-				t.Fatalf("wire d(%d,%d)=%d, in-process %d", u, v, got[0].Dist, wantDist)
+		}
+		got := roundTrip(qs)
+		want[1].Path = want[1].Path[:0]
+		srv.Do("inproc", qs, want)
+		for i := range qs {
+			if got[i].Status != want[i].Status {
+				t.Fatalf("wire kind %d (%d,%d) status %d, in-process %d", qs[i].Kind, u, v, got[i].Status, want[i].Status)
 			}
-			if got[0].Dist != truth[u][v] {
-				t.Fatalf("wire d(%d,%d)=%d, truth %d", u, v, got[0].Dist, truth[u][v])
+			if s := want[i].Status; s != wire.StatusOK && s != wire.StatusUnsupported {
+				t.Fatalf("in-process kind %d (%d,%d) failed unexpectedly: status %d", qs[i].Kind, u, v, s)
 			}
 		}
-
-		wantPath, perr := srv.TryPath("inproc", u, v, pathBuf[:0])
-		pathBuf = wantPath
-		checkStatus(t, "path", u, v, got[1].Status, perr)
-		if perr == nil && got[1].Status == wire.StatusOK {
-			if len(got[1].Path) != len(wantPath) {
-				t.Fatalf("wire path %d→%d has %d vertices, in-process %d",
-					u, v, len(got[1].Path), len(wantPath))
-			}
-			for i := range wantPath {
-				if got[1].Path[i] != wantPath[i] {
-					t.Fatalf("wire path %d→%d differs at hop %d: %d vs %d",
-						u, v, i, got[1].Path[i], wantPath[i])
-				}
+		if got[0].Dist != want[0].Dist {
+			t.Fatalf("wire d(%d,%d)=%d, in-process %d", u, v, got[0].Dist, want[0].Dist)
+		}
+		if got[0].Dist != truth[u][v] {
+			t.Fatalf("wire d(%d,%d)=%d, truth %d", u, v, got[0].Dist, truth[u][v])
+		}
+		if want[1].Status == wire.StatusOK {
+			if !slices.Equal(got[1].Path, want[1].Path) {
+				t.Fatalf("wire path %d→%d = %v, in-process %v", u, v, got[1].Path, want[1].Path)
 			}
 			if truth[u][v] < graph.Infinity {
 				if msg := indextest.CheckPath(g, u, v, got[1].Path, truth[u][v]); msg != "" {
@@ -139,20 +132,15 @@ func RunNetworkServing(t *testing.T, g *graph.Graph, idx index.Index, seed int64
 				}
 			}
 		}
-
-		wantFar, wantEcc, eerr := srv.TryFarthest("inproc", u)
-		checkStatus(t, "ecc", u, u, got[2].Status, eerr)
-		if eerr == nil && got[2].Status == wire.StatusOK {
-			if got[2].Far != wantFar || got[2].Dist != wantEcc {
-				t.Fatalf("wire ecc(%d)=(%d,%d), in-process (%d,%d)",
-					u, got[2].Far, got[2].Dist, wantFar, wantEcc)
-			}
+		if want[2].Status == wire.StatusOK && (got[2].Far != want[2].Far || got[2].Dist != want[2].Dist) {
+			t.Fatalf("wire ecc(%d)=(%d,%d), in-process (%d,%d)",
+				u, got[2].Far, got[2].Dist, want[2].Far, want[2].Dist)
 		}
 	}
 
-	// Phase 2: one all-distance frame covering every pair at once. More
-	// than one distance query per frame routes through TryQueryBatch on
-	// the door, so this pins the coalesced path against the same truth.
+	// Phase 2: one all-distance frame covering every pair at once, so
+	// shard coalescing engages across the frame — pinned against the
+	// same truth.
 	qs := make([]wire.Query, len(pairs))
 	for i, p := range pairs {
 		qs[i] = wire.Query{Kind: wire.QDist, U: p[0], V: p[1]}
@@ -176,22 +164,5 @@ func RunNetworkServing(t *testing.T, g *graph.Graph, idx index.Index, seed int64
 	}
 	if st.Queries == 0 || st.Frames == 0 {
 		t.Fatalf("door stats empty after serving: %+v", st)
-	}
-}
-
-// checkStatus requires the wire status and the in-process error to be
-// the same verdict: both OK, or both the same failure class.
-func checkStatus(t *testing.T, what string, u, v graph.NodeID, status uint8, err error) {
-	t.Helper()
-	want := uint8(wire.StatusOK)
-	switch {
-	case err == nil:
-	case errors.Is(err, server.ErrUnsupported), errors.Is(err, hub.ErrNoParents):
-		want = wire.StatusUnsupported
-	default:
-		t.Fatalf("in-process %s(%d,%d) failed unexpectedly: %v", what, u, v, err)
-	}
-	if status != want {
-		t.Fatalf("wire %s(%d,%d) status %d, in-process verdict %d (%v)", what, u, v, status, want, err)
 	}
 }

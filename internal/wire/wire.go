@@ -26,9 +26,9 @@
 //
 // A reply echoes its request's frame id and answers the queries in
 // request order, so correlation needs no per-query ids. Non-OK statuses
-// map the serving error taxonomy (ErrOverloaded / ErrTimeout /
-// ErrBackendFault / ErrUnsupported / ErrClosed) one code per error, and
-// carry no payload — a shed reply for a 64-query batch is 64 bytes.
+// are the serving outcome taxonomy (Status* below, one sentinel error
+// per code) and carry no payload — a shed reply for a 64-query batch is
+// 64 bytes.
 //
 // Parsing is hostile-input safe by construction: every length is
 // bounded before use (MaxFrame, MaxBatch, MaxPathLen, MaxHello), every
@@ -92,18 +92,42 @@ const (
 	QEcc = 2
 )
 
-// Reply status codes — the wire image of the serving error taxonomy.
+// Reply status codes: the one outcome taxonomy of the serving stack.
+// server.Do resolves every query to exactly one of them, each door
+// renders them in its own vocabulary (DESIGN.md "Request core"), and
+// StatusError / StatusOf convert to and from the sentinel errors below.
 const (
 	StatusOK           = 0
-	StatusOverloaded   = 1 // server.ErrOverloaded: shed by admission or queue-full
-	StatusTimeout      = 2 // server.ErrTimeout: missed the per-query deadline
-	StatusBackendFault = 3 // server.ErrBackendFault: contained backend panic
-	StatusUnsupported  = 4 // server.ErrUnsupported / hub.ErrNoParents
-	StatusClosed       = 5 // server.ErrClosed: replica shutting down
-	StatusBadRequest   = 6 // malformed query (vertex out of range)
+	StatusOverloaded   = 1 // shed by admission, or the shard queue was full
+	StatusTimeout      = 2 // missed the call's deadline
+	StatusBackendFault = 3 // contained backend panic
+	StatusUnsupported  = 4 // the served index lacks the query kind
+	StatusClosed       = 5 // the server is shutting down
+	StatusBadRequest   = 6 // vertex outside the serving snapshot's range
 	StatusInternal     = 7 // any other backend error
 	statusMax          = StatusInternal
 )
+
+// statusText words each status once; the sentinel errors, the line
+// door's error lines and the HTTP door's bodies all read from it.
+var statusText = [statusMax + 1]string{
+	StatusOK:           "ok",
+	StatusOverloaded:   "overloaded, retry later",
+	StatusTimeout:      "query deadline exceeded",
+	StatusBackendFault: "backend fault while serving the query",
+	StatusUnsupported:  "query kind unsupported by the served index",
+	StatusClosed:       "shutting down",
+	StatusBadRequest:   "vertex out of range",
+	StatusInternal:     "internal error",
+}
+
+// StatusText returns the human-readable wording of a status.
+func StatusText(status uint8) string {
+	if status > statusMax {
+		status = StatusInternal
+	}
+	return statusText[status]
+}
 
 // Size bounds. Every reader rejects input beyond them before touching
 // it, so a forged length can never drive an allocation or a loop.
@@ -129,40 +153,54 @@ var ErrMalformed = errors.New("wire: malformed frame")
 // treat it as a policy violation rather than line noise.
 var ErrTooLarge = errors.New("wire: frame exceeds size limit")
 
-// Client-visible errors for the non-OK reply statuses. hubclient
-// returns these; they mirror the server-side taxonomy one for one.
+// The sentinel errors of the non-OK statuses — one family for both
+// sides of the socket: the in-process server adapters and hubclient
+// return these same values, so errors.Is means the same thing whether
+// the query crossed a network or not.
 var (
-	ErrOverloaded   = errors.New("wire: replica overloaded")
-	ErrTimeout      = errors.New("wire: query deadline exceeded on replica")
-	ErrBackendFault = errors.New("wire: backend fault on replica")
-	ErrUnsupported  = errors.New("wire: query kind not supported by the served index")
-	ErrClosed       = errors.New("wire: replica shutting down")
-	ErrBadRequest   = errors.New("wire: bad query")
-	ErrInternal     = errors.New("wire: internal error on replica")
+	ErrOverloaded   = errors.New("wire: " + statusText[StatusOverloaded])
+	ErrTimeout      = errors.New("wire: " + statusText[StatusTimeout])
+	ErrBackendFault = errors.New("wire: " + statusText[StatusBackendFault])
+	ErrUnsupported  = errors.New("wire: " + statusText[StatusUnsupported])
+	ErrClosed       = errors.New("wire: " + statusText[StatusClosed])
+	ErrBadRequest   = errors.New("wire: " + statusText[StatusBadRequest])
+	ErrInternal     = errors.New("wire: " + statusText[StatusInternal])
 )
 
-// StatusError maps a reply status to its sentinel error (nil for
-// StatusOK). Unknown statuses are impossible past ParseReply, which
-// rejects them as malformed.
+// statusErr indexes the sentinels by status.
+var statusErr = [statusMax + 1]error{
+	StatusOverloaded:   ErrOverloaded,
+	StatusTimeout:      ErrTimeout,
+	StatusBackendFault: ErrBackendFault,
+	StatusUnsupported:  ErrUnsupported,
+	StatusClosed:       ErrClosed,
+	StatusBadRequest:   ErrBadRequest,
+	StatusInternal:     ErrInternal,
+}
+
+// StatusError maps a status to its sentinel error (nil for StatusOK).
+// Unknown statuses are impossible past ParseReply, which rejects them
+// as malformed; they read as ErrInternal.
 func StatusError(status uint8) error {
-	switch status {
-	case StatusOK:
-		return nil
-	case StatusOverloaded:
-		return ErrOverloaded
-	case StatusTimeout:
-		return ErrTimeout
-	case StatusBackendFault:
-		return ErrBackendFault
-	case StatusUnsupported:
-		return ErrUnsupported
-	case StatusClosed:
-		return ErrClosed
-	case StatusBadRequest:
-		return ErrBadRequest
-	default:
+	if status > statusMax {
 		return ErrInternal
 	}
+	return statusErr[status]
+}
+
+// StatusOf is the inverse: the status an error stands for. Anything
+// outside the sentinel family — a backend's own error, a transport
+// failure — is StatusInternal.
+func StatusOf(err error) uint8 {
+	if err == nil {
+		return StatusOK
+	}
+	for status := uint8(StatusOverloaded); status < statusMax; status++ {
+		if errors.Is(err, statusErr[status]) {
+			return status
+		}
+	}
+	return StatusInternal
 }
 
 // Query is one request in a batch frame.

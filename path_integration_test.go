@@ -102,8 +102,8 @@ func TestIntegrationV1ContainerDegradesGracefully(t *testing.T) {
 	if _, err := srv.TryQuery("it", 0, 5); err != nil {
 		t.Fatalf("TryQuery on v1 index: %v", err)
 	}
-	if _, err := srv.TryPath("it", 0, 5, nil); !errors.Is(err, ErrNoParents) {
-		t.Fatalf("TryPath on v1 index = %v, want ErrNoParents", err)
+	if _, err := srv.TryPath("it", 0, 5, nil); !errors.Is(err, ErrServerUnsupported) {
+		t.Fatalf("TryPath on v1 index = %v, want ErrServerUnsupported", err)
 	}
 	// Eccentricity needs no parents and must still work.
 	if _, err := srv.TryEccentricity("it", 0); err != nil {

@@ -7,7 +7,8 @@
 #
 #   1. Answer fidelity: a query replay through the 3-replica fleet via
 #      hubq must be byte-identical to a single hubserve's line door
-#      serving the same container.
+#      serving the same container — answers and refusals (out-of-range,
+#      negative and malformed ids) alike.
 #   2. Chaos: SIGKILL one replica in the middle of a hubq flood; the
 #      flood must finish with successes, a bounded failure count, and
 #      the replay against the survivors must still match exactly.
@@ -54,6 +55,14 @@ echo "=== fixture: container + query replay + single-node ground truth"
 	done
 	echo "PATH 0 17"
 	echo "ECC 3"
+	# Ids no replica can serve and lines no door can parse: the refusals
+	# are part of the transcript, worded by the one shared line codec.
+	echo "5 99999"
+	echo "PATH 0 99999"
+	echo "ECC 99999"
+	echo "-1 3"
+	echo "1 2 3"
+	echo "PATH x y"
 	echo "quit"
 } >/tmp/fleet.q
 "$BIN/hubserve" -index /tmp/fleet.hli </tmp/fleet.q >/tmp/fleet.want 2>/dev/null
