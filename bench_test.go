@@ -584,47 +584,25 @@ func BenchmarkE17RebuildPLL(b *testing.B) {
 	}
 }
 
-// benchContainer10k serializes the 10k labeling once per payload kind.
-func benchContainer10k(b *testing.B, compress bool) []byte {
-	b.Helper()
+// BenchmarkE17LoadContainerRaw loads the expanded container of the same
+// labeling — raw columns decoded straight into the flat arrays
+// (expected ≥10× faster than the rebuild above).
+func BenchmarkE17LoadContainerRaw(b *testing.B) {
 	flat, _, _ := benchQueryGraph10k(b)
 	var buf bytes.Buffer
-	if _, err := flat.WriteContainer(&buf, hub.ContainerOptions{Compress: compress}); err != nil {
+	if _, err := flat.WriteContainer(&buf, hub.ContainerOptions{}); err != nil {
 		b.Fatal(err)
 	}
-	return buf.Bytes()
-}
-
-// BenchmarkE17LoadContainerRaw loads the raw-column container of the same
-// labeling — the near-memcpy path (expected ≥10× faster than the
-// rebuild above).
-func BenchmarkE17LoadContainerRaw(b *testing.B) {
-	data := benchContainer10k(b, false)
+	data := buf.Bytes()
 	// One untimed load so short runs measure steady state, not first-touch
 	// page faults on a cold heap.
-	if _, err := hub.ReadContainer(bytes.NewReader(data)); err != nil {
+	if _, err := hub.ReadContainerStore(bytes.NewReader(data)); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hub.ReadContainer(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE17LoadContainerGamma loads the Elias-gamma container (≈4.5×
-// smaller, decoded straight into the flat arrays).
-func BenchmarkE17LoadContainerGamma(b *testing.B) {
-	data := benchContainer10k(b, true)
-	if _, err := hub.ReadContainer(bytes.NewReader(data)); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := hub.ReadContainer(bytes.NewReader(data)); err != nil {
+		if _, err := hub.ReadContainerStore(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -638,7 +616,7 @@ func BenchmarkE17LoadContainerGamma(b *testing.B) {
 // per served query; the per-query hot path must stay at 0 allocs/op.
 func benchServer(b *testing.B, shards int) {
 	flat, _, pairs := benchQueryGraph10k(b)
-	srv := server.New(index.FromFlat(flat), server.Options{Shards: shards})
+	srv := server.New(index.FromStore(flat), server.Options{Shards: shards})
 	defer srv.Close()
 	// Warm the request pool so steady state is measured.
 	for i := 0; i < 256; i++ {
@@ -668,7 +646,7 @@ func BenchmarkE18ServerW8(b *testing.B) { benchServer(b, 8) }
 // report; it only ever added a snapshot pin.
 func BenchmarkE18ServerBatch(b *testing.B) {
 	flat, _, pairs := benchQueryGraph10k(b)
-	idx := index.FromFlat(flat)
+	idx := index.FromStore(flat)
 	out := make([]graph.Weight, len(pairs))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -686,7 +664,7 @@ func BenchmarkE18ServerBatch(b *testing.B) {
 // 0 allocs/op.
 func BenchmarkE19TryQueryAdmitted(b *testing.B) {
 	flat, _, pairs := benchQueryGraph10k(b)
-	srv := server.New(index.FromFlat(flat), server.Options{Shards: 1,
+	srv := server.New(index.FromStore(flat), server.Options{Shards: 1,
 		Admission: &flowctl.Options{}})
 	defer srv.Close()
 	for i := 0; i < 256; i++ {
@@ -889,7 +867,7 @@ func benchAlignedContainer10k(b *testing.B) string {
 			benchAligned10k.err = err
 			return
 		}
-		if _, err := flat.WriteContainer(f, hub.ContainerOptions{Aligned: true}); err != nil {
+		if _, err := flat.WriteContainer(f, hub.ContainerOptions{}); err != nil {
 			benchAligned10k.err = err
 			return
 		}
@@ -1001,7 +979,7 @@ func BenchmarkE22FireDisabled(b *testing.B) {
 func BenchmarkE22TryQueryFaultsOff(b *testing.B) {
 	faultinject.Disable()
 	flat, _, pairs := benchQueryGraph10k(b)
-	srv := server.New(index.FromFlat(flat), server.Options{Shards: 4})
+	srv := server.New(index.FromStore(flat), server.Options{Shards: 4})
 	defer srv.Close()
 	for i := 0; i < 256; i++ {
 		p := pairs[i%len(pairs)]
@@ -1097,7 +1075,7 @@ func BenchmarkE23SaveStreaming(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := index.SaveStreaming(path, benchE23.l, hub.ContainerOptions{Aligned: true}); err != nil {
+		if err := index.SaveStreaming(path, benchE23.l, hub.ContainerOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1113,7 +1091,7 @@ func BenchmarkE23SaveFreeze(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx := index.NewHubLabelsFrom(benchE23.l)
-		if err := index.Save(path, idx, hub.ContainerOptions{Aligned: true}); err != nil {
+		if err := index.Save(path, idx, hub.ContainerOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1315,12 +1293,12 @@ func benchZipfServer(b *testing.B, idx index.Index, n int, alpha float64, hotCac
 // query rows for the raw probe-vs-merge ratio the ≥5× gate prices.
 func BenchmarkE25ZipfGnm10kExpandedA08(b *testing.B) {
 	flat, _, _ := benchQueryGraph10k(b)
-	benchZipfServer(b, index.FromFlat(flat), 10000, 0.8, 4096)
+	benchZipfServer(b, index.FromStore(flat), 10000, 0.8, 4096)
 }
 
 func BenchmarkE25ZipfGnm10kExpandedA11(b *testing.B) {
 	flat, _, _ := benchQueryGraph10k(b)
-	benchZipfServer(b, index.FromFlat(flat), 10000, 1.1, 4096)
+	benchZipfServer(b, index.FromStore(flat), 10000, 1.1, 4096)
 }
 
 func BenchmarkE25ZipfGnm10kCompactA08(b *testing.B) {
@@ -1335,12 +1313,12 @@ func BenchmarkE25ZipfGnm10kCompactA11(b *testing.B) {
 
 func BenchmarkE25ZipfRoadExpandedA08(b *testing.B) {
 	n, flat, _ := benchRoad100x100(b)
-	benchZipfServer(b, index.FromFlat(flat), n, 0.8, 4096)
+	benchZipfServer(b, index.FromStore(flat), n, 0.8, 4096)
 }
 
 func BenchmarkE25ZipfRoadExpandedA11(b *testing.B) {
 	n, flat, _ := benchRoad100x100(b)
-	benchZipfServer(b, index.FromFlat(flat), n, 1.1, 4096)
+	benchZipfServer(b, index.FromStore(flat), n, 1.1, 4096)
 }
 
 func BenchmarkE25ZipfRoadCompactA08(b *testing.B) {

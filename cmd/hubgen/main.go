@@ -4,27 +4,24 @@
 // With -out the labeling is persisted as an index container that
 // cmd/hubserve, cmd/experiments and the library (index.Load) reload
 // without rebuilding; -graphout writes the (possibly generated) graph so
-// the two tools share inputs. For PLL without -compress the container is
-// emitted through the streaming writer (index.SaveStreaming), so peak
-// memory stays at about one copy of the labeling even at millions of
-// vertices; see cmd/hubserve/README.md for the full build→serve
-// pipeline.
+// the two tools share inputs. For PLL the container is emitted through
+// the streaming writer (index.SaveStreaming), so peak memory stays at
+// about one copy of the labeling even at millions of vertices; see
+// cmd/hubserve/README.md for the full build→serve pipeline.
 //
 // Usage:
 //
 //	hubgen -gen gnm -n 500 -m 900 -algo pll
 //	hubgen -gen reg3 -n 300 -algo thm41 -d 3
 //	hubgen -gen road -n 400 -algo pll -order betweenness
-//	hubgen -gen rmat -n 1048576 -algo pll -workers 8 -progress -out labels.hli -aligned
+//	hubgen -gen rmat -n 1048576 -algo pll -workers 8 -progress -out labels.hli
 //	hubgen -gen gnm -n 100000 -algo pll -out labels.hli -v4
 //	hubgen -in USA-road-d.NY.gr.gz -algo pll
 //	hubgen -dataset rome99 -algo pll -out rome.hli
 //
-// Exactly one container payload style may be given with -out: -compress
-// (Elias-gamma, smallest file, decode-only load), -aligned (expanded v3,
-// zero-copy mmap serving) or -v4/-compact (compressed v4, zero-copy mmap
-// serving at a fraction of the resident bytes). They do not compose, and
-// hubgen rejects conflicting combinations before building anything.
+// -out writes the expanded (v3) container; with -v4, the compact (v4) one
+// at a fraction of the resident bytes. Every written container is
+// servable zero-copy (hubserve -mmap).
 package main
 
 import (
@@ -70,29 +67,14 @@ func run() error {
 	d := flag.Int("d", 0, "threshold D for sparse/thm41/thm14 (0 = auto)")
 	verify := flag.Bool("verify", true, "verify the labeling (exhaustive ≤ 1000 vertices, sampled beyond)")
 	out := flag.String("out", "", "write the labeling as an index container (.hli)")
-	compress := flag.Bool("compress", false, "use the Elias-gamma container payload for -out")
-	aligned := flag.Bool("aligned", false, "write the 64-byte-aligned v3 container for -out (servable zero-copy: hubserve -mmap)")
-	v4 := flag.Bool("v4", false, "write the compact v4 container for -out (queryable compressed, servable zero-copy: hubserve -mmap)")
-	compact := flag.Bool("compact", false, "alias for -v4")
+	v4 := flag.Bool("v4", false, "write the compact v4 container for -out instead of the expanded v3 one (queryable compressed; both are servable zero-copy: hubserve -mmap)")
 	graphOut := flag.String("graphout", "", "write the graph in the text format hubgen/hubserve read")
 	flag.Parse()
-	useV4 := *v4 || *compact
 
-	// Container payload options are validated before any build work: a
-	// conflicting combination must fail in milliseconds, not after an
-	// hour-long labeling construction. Exactly one payload style can be
-	// chosen: -compress (gamma bits, decode-only), -aligned (expanded v3,
-	// mmap-servable) or -v4 (compact, mmap-servable); each is a complete
-	// layout and none of them compose. All three require -out.
-	switch {
-	case *compress && *aligned:
-		return fmt.Errorf("hubgen: -compress and -aligned are mutually exclusive (gamma bits cannot be pointed at zero-copy)")
-	case *compress && useV4:
-		return fmt.Errorf("hubgen: -compress and -v4 are mutually exclusive (the compact layout has its own encoding)")
-	case *aligned && useV4:
-		return fmt.Errorf("hubgen: -aligned and -v4 are mutually exclusive (each is a complete mmap-servable layout)")
-	case (*compress || *aligned || useV4) && *out == "":
-		return fmt.Errorf("hubgen: -compress/-aligned/-v4 shape the container written by -out; pass -out")
+	// Validated before any build work: a mistake must fail in
+	// milliseconds, not after an hour-long labeling construction.
+	if *v4 && *out == "" {
+		return fmt.Errorf("hubgen: -v4 shapes the container written by -out; pass -out")
 	}
 
 	if spec, on, err := faultinject.EnableFromEnv(); err != nil {
@@ -117,10 +99,9 @@ func run() error {
 	fmt.Printf("graph: n=%d m=%d max-degree=%d avg-degree=%.2f weighted=%v\n",
 		g.NumNodes(), g.NumEdges(), g.MaxDegree(), g.AvgDegree(), g.Weighted())
 
-	// PLL without gamma compression builds unfrozen and streams the
-	// container out; everything else freezes (and gamma needs the flat
-	// form anyway).
-	streaming := *algo == "pll" && *out != "" && !*compress
+	// PLL builds unfrozen and streams the container out; every other
+	// construction returns frozen labels.
+	streaming := *algo == "pll" && *out != ""
 
 	var labeling *hub.Labeling
 	buildStart := time.Now()
@@ -205,7 +186,7 @@ func run() error {
 		fmt.Printf("wrote graph: %s\n", *graphOut)
 	}
 	if *out != "" {
-		copts := hub.ContainerOptions{Compress: *compress, Aligned: *aligned, Compact: useV4}
+		copts := hub.ContainerOptions{Compact: *v4}
 		if streaming {
 			err = index.SaveStreaming(*out, labeling, copts)
 		} else {
@@ -218,12 +199,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		serveHint := fmt.Sprintf("hubserve -index %s", *out)
-		if *aligned || useV4 {
-			serveHint = fmt.Sprintf("hubserve -mmap -index %s", *out)
-		}
-		fmt.Printf("wrote container: %s (%d bytes, compress=%v aligned=%v v4=%v streamed=%v; serve with: %s)\n",
-			*out, info.Size(), *compress, *aligned, useV4, streaming, serveHint)
+		fmt.Printf("wrote container: %s (%d bytes, v4=%v streamed=%v; serve with: hubserve -mmap -index %s)\n",
+			*out, info.Size(), *v4, streaming, *out)
 	}
 	return nil
 }

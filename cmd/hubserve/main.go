@@ -5,12 +5,12 @@
 // goroutines coalesce adjacent requests into interleaved-merge batches,
 // and the served index sits behind an atomic snapshot.
 //
-// With -mmap the container is served zero-copy: the index's CSR columns
-// are typed views of the memory-mapped file (aligned/v3 containers;
-// older formats fall back to a decoded load), so startup is O(n) plus
-// one checksum pass, no second copy of the index exists in anonymous
-// memory, and multiple hubserve processes serving the same file share
-// its physical pages. The served container can be replaced without
+// With -mmap the container is served zero-copy: the index's columns are
+// typed views of the memory-mapped file (every container hubgen writes;
+// legacy version-1/2 files fall back to a decoded load), so startup is
+// O(n) plus one checksum pass, no second copy of the index exists in
+// anonymous memory, and multiple hubserve processes serving the same
+// file share its physical pages. The served container can be replaced without
 // restarting: SIGHUP — or the /reload HTTP endpoint — re-opens the
 // -index path and hot-swaps the new index under live traffic with zero
 // dropped queries (in-flight queries finish on the old mapping, which is
@@ -79,7 +79,7 @@
 //
 // Usage:
 //
-//	hubgen -gen gnm -n 10000 -algo pll -aligned -out labels.hli -graphout g.gr
+//	hubgen -gen gnm -n 10000 -algo pll -out labels.hli -graphout g.gr
 //	echo "0 17" | hubserve -index labels.hli
 //	hubserve -index labels.hli -graph g.gr -selfcheck 200
 //	hubserve -index labels.hli -http :8080 -mmap
@@ -130,7 +130,7 @@ func run() error {
 	workers := flag.Int("workers", 0, "shard/worker count (0 = number of CPUs)")
 	queue := flag.Int("queue", 0, "per-shard queue depth (0 = default)")
 	admission := flag.Bool("admission", true, "fair per-client load shedding under overload")
-	useMmap := flag.Bool("mmap", false, "serve the container zero-copy via mmap (aligned/v3 containers; older formats fall back to a decoded load)")
+	useMmap := flag.Bool("mmap", false, "serve the container zero-copy via mmap (legacy version-1/2 containers fall back to a decoded load)")
 	simLatency := flag.Duration("simlatency", 0, "artificial per-query service time, for load and overload testing")
 	selfcheck := flag.Int("selfcheck", 0, "verify this many random queries against graph search before serving and on reload (needs -graph)")
 	queryTimeout := flag.Duration("querytimeout", 0, "per-query deadline (0 = none); timed-out queries answer TIMEOUT / HTTP 504")

@@ -37,7 +37,7 @@ func reloadFixture(t *testing.T) (servingPath, nextPath string, g *graph.Graph) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.Freeze().WriteContainer(f, hub.ContainerOptions{Aligned: true}); err != nil {
+		if _, err := l.Freeze().WriteContainer(f, hub.ContainerOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {

@@ -17,8 +17,9 @@ import (
 )
 
 // TestContainerRoundTripAcrossBuilders writes the frozen labeling of every
-// construction path to a container (raw and gamma) and asserts the loaded
-// form answers exactly the same queries as the original Freeze result.
+// construction path to a container (expanded and compact) and asserts the
+// loaded form answers exactly the same queries as the original Freeze
+// result.
 func TestContainerRoundTripAcrossBuilders(t *testing.T) {
 	g, err := gen.Gnm(160, 290, 23)
 	if err != nil {
@@ -63,14 +64,14 @@ func TestContainerRoundTripAcrossBuilders(t *testing.T) {
 			}
 			f := l.Freeze()
 			n := f.NumVertices()
-			for _, opts := range []hub.ContainerOptions{{}, {Compress: true}} {
+			for _, opts := range []hub.ContainerOptions{{}, {Compact: true}} {
 				var buf bytes.Buffer
 				if _, err := f.WriteContainer(&buf, opts); err != nil {
-					t.Fatalf("WriteContainer(compress=%v): %v", opts.Compress, err)
+					t.Fatalf("WriteContainer(compact=%v): %v", opts.Compact, err)
 				}
-				loaded, err := hub.ReadContainer(bytes.NewReader(buf.Bytes()))
+				loaded, err := hub.ReadContainerStore(bytes.NewReader(buf.Bytes()))
 				if err != nil {
-					t.Fatalf("ReadContainer(compress=%v): %v", opts.Compress, err)
+					t.Fatalf("ReadContainerStore(compact=%v): %v", opts.Compact, err)
 				}
 				if loaded.NumVertices() != n {
 					t.Fatalf("loaded %d vertices, want %d", loaded.NumVertices(), n)
@@ -81,8 +82,8 @@ func TestContainerRoundTripAcrossBuilders(t *testing.T) {
 					dw, okW := f.Query(u, v)
 					dl, okL := loaded.Query(u, v)
 					if dw != dl || okW != okL {
-						t.Fatalf("compress=%v (%d,%d): original (%d,%v) vs loaded (%d,%v)",
-							opts.Compress, u, v, dw, okW, dl, okL)
+						t.Fatalf("compact=%v (%d,%d): original (%d,%v) vs loaded (%d,%v)",
+							opts.Compact, u, v, dw, okW, dl, okL)
 					}
 				}
 			}

@@ -118,7 +118,7 @@ func cachedLabels(key string, g *hublab.Graph, opts hublab.PLLOptions) (*hublab.
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, false, err
 	}
-	if err := hublab.SaveIndex(path, idx, hublab.ContainerOptions{Compress: true}); err != nil {
+	if err := hublab.SaveIndex(path, idx, hublab.ContainerOptions{}); err != nil {
 		return nil, false, err
 	}
 	return idx, false, nil

@@ -19,7 +19,7 @@
 //     EulerTourLabels, CentroidTreeLabels);
 //   - the serving pipeline: a unified Index interface with buildable
 //     backends (BuildIndex, IndexKinds), persistent index containers
-//     (SaveIndex, LoadIndex, WriteContainer, ReadContainer) with a
+//     (SaveIndex, LoadIndex, WriteContainer, ReadContainerStore) with a
 //     constant-extra-memory streaming emission path for large builds
 //     (BuildPLLUnfrozen, SaveIndexStreaming), and the
 //     sharded in-process query service (NewServer) with non-blocking
@@ -328,9 +328,10 @@ type (
 	// HubLabelsIndex is the hub-labeling backend — the only one with a
 	// persistent container form.
 	HubLabelsIndex = index.HubLabels
-	// ContainerOptions configures WriteContainer/SaveIndex (raw columns
-	// vs Elias-gamma compressed payload; Aligned selects the 64-byte
-	// aligned v3 layout servable zero-copy via LoadIndexMmap).
+	// ContainerOptions configures WriteContainer/SaveIndex: Compact
+	// selects the compact (v4) layout over the default expanded (v3) one.
+	// Both are 64-byte aligned and servable zero-copy via LoadIndexMmap;
+	// the Aligned field is inert and kept for existing callers.
 	ContainerOptions = hub.ContainerOptions
 	// IndexReleaser is implemented by indexes holding resources the
 	// garbage collector cannot reclaim — today the mmap views of
@@ -442,7 +443,9 @@ func IndexKinds() []string { return index.Kinds() }
 func NewHubLabelsIndex(l *Labeling) *HubLabelsIndex { return index.NewHubLabelsFrom(l) }
 
 // SaveIndex persists idx at path as a versioned index container
-// (checksummed, little-endian, optionally Elias-gamma compressed).
+// (checksummed, little-endian, 64-byte aligned sections). To migrate a
+// legacy (version 1–2) file, re-save it:
+// SaveIndex(path, LoadIndex(old), ContainerOptions{}).
 func SaveIndex(path string, idx Index, opts ContainerOptions) error {
 	return index.Save(path, idx, opts)
 }
@@ -451,23 +454,22 @@ func SaveIndex(path string, idx Index, opts ContainerOptions) error {
 // at path with the same crash-safety and byte-identical output as
 // SaveIndex, but without materializing the flat form first: label runs
 // stream into the file column by column, so peak memory stays at about
-// one copy of the labeling. Gamma compression cannot stream and is
-// rejected; use SaveIndex for that.
+// one copy of the labeling.
 func SaveIndexStreaming(path string, l *Labeling, opts ContainerOptions) error {
 	return index.SaveStreaming(path, l, opts)
 }
 
 // LoadIndex loads an index container written by SaveIndex (or
-// hubgen -out). The raw-payload path is near-memcpy and never rebuilds
+// hubgen -out) onto the heap, fully validated, without ever rebuilding
 // the mutable labeling form.
 func LoadIndex(path string) (*HubLabelsIndex, error) { return index.Load(path) }
 
-// LoadIndexMmap opens a container zero-copy: for aligned (v3) files the
-// index's columns are typed views of the memory-mapped region — O(1)
-// open, no second copy in anonymous memory, physical pages shared
-// between processes serving the same file. The view must be Released
-// after its last query (or owned by a Server via OwnIndex/SwapRetire);
-// older or compressed containers fall back to the decoded load.
+// LoadIndexMmap opens a container zero-copy: the index's columns are
+// typed views of the memory-mapped region — O(1) open, no second copy in
+// anonymous memory, physical pages shared between processes serving the
+// same file. The view must be Released after its last query (or owned
+// by a Server via OwnIndex/SwapRetire); legacy (version 1–2) containers
+// fall back to the decoded load.
 func LoadIndexMmap(path string) (*HubLabelsIndex, error) { return index.LoadMmap(path) }
 
 // VerifySampledIndex spot-checks idx against graph search on pairs random
@@ -483,29 +485,18 @@ func WriteContainer(w io.Writer, f *FlatLabeling, opts ContainerOptions) (int64,
 	return f.WriteContainer(w, opts)
 }
 
-// ReadContainer parses an index container back into a frozen labeling.
-// Corrupt input returns an error (wrapping hub.ErrContainer), never a
-// panic.
-func ReadContainer(r io.Reader) (*FlatLabeling, error) { return hub.ReadContainer(r) }
-
 // ReadContainerStore parses an index container into its native
-// representation: version 1–3 files come back as a *FlatLabeling,
-// version-4 (compact) files as a *CompactLabeling serving compressed.
+// representation: expanded (v3) and legacy files come back as a
+// *FlatLabeling, compact (v4) files as a *CompactLabeling serving
+// compressed. Corrupt input returns an error (wrapping
+// hub.ErrContainer), never a panic.
 func ReadContainerStore(r io.Reader) (LabelStore, error) { return hub.ReadContainerStore(r) }
 
-// OpenContainerMmap opens an aligned (v3) container file as a
-// view-backed FlatLabeling whose columns alias the memory-mapped file.
-// Compact (v4) files are decoded and expanded; use OpenStoreMmap to
-// serve them compressed. See hub.OpenContainerMmap for the lifetime
-// (Release) and validation contract.
-func OpenContainerMmap(path string) (*FlatLabeling, error) { return hub.OpenContainerMmap(path) }
-
 // OpenStoreMmap opens a container file in its native representation,
-// zero-copy where the format allows: aligned (v3) files map as expanded
-// views, compact (v4) files map as compressed views that decode per
-// query — the resident working set is then the compressed bytes
-// actually touched. See hub.OpenStoreMmap for the lifetime (Release)
-// and validation contract.
+// zero-copy: expanded (v3) files map as expanded views, compact (v4)
+// files map as compressed views that decode per query — the resident
+// working set is then the compressed bytes actually touched. See
+// hub.OpenStoreMmap for the lifetime (Release) and validation contract.
 func OpenStoreMmap(path string) (LabelStore, error) { return hub.OpenStoreMmap(path) }
 
 // CompactFromFlat re-encodes a frozen labeling into the compressed

@@ -813,18 +813,14 @@ func CompactFromFlat(f *FlatLabeling) *CompactLabeling {
 	return c
 }
 
-// WriteContainer serializes the labeling: Compact emits the version-4
-// container natively; any other option set expands first (an O(entries)
-// decode) and defers to the flat writer — so a compact store can still
-// produce v1–v3 files when asked.
+// WriteContainer serializes the labeling: Compact emits the compact
+// layout natively; otherwise the labeling is expanded first (an
+// O(entries) decode) and written in the expanded layout.
 func (c *CompactLabeling) WriteContainer(w io.Writer, opts ContainerOptions) (int64, error) {
-	if opts.Compact {
-		if opts.Compress || opts.Aligned {
-			return 0, errCompactCompose
-		}
-		return c.writeV4(w)
+	if !opts.Compact {
+		return writeSections(w, c.Expand())
 	}
-	return c.Expand().WriteContainer(w, opts)
+	return writeSections(w, c)
 }
 
 // buildInv verifies that remap is a permutation of [0, n) and returns

@@ -265,10 +265,9 @@ func TestCompactEccAgreement(t *testing.T) {
 	}
 }
 
-// TestCompactContainerRoundTrip pins the v4 container through all four
-// doors: the store-preserving decode and mmap open return compact
-// stores answering identically, and the expanded doors
-// (ReadContainer/openBytes) recover the original flat labeling exactly.
+// TestCompactContainerRoundTrip pins the v4 container through both
+// doors: the decode and the mmap open return compact stores that expand
+// to the original flat labeling exactly.
 func TestCompactContainerRoundTrip(t *testing.T) {
 	for _, tc := range compactFixtures(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -320,29 +319,14 @@ func TestCompactContainerRoundTrip(t *testing.T) {
 				t.Fatalf("Release: %v", err)
 			}
 
-			exp, err := ReadContainer(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("ReadContainer: %v", err)
-			}
-			if !flatEqual(exp, tc.f) {
-				t.Fatal("ReadContainer of a v4 file differs from the original")
-			}
-			exp2, err := openBytes(bytes.Clone(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("openBytes: %v", err)
-			}
-			if !flatEqual(exp2, tc.f) {
-				t.Fatal("mmap-expanded v4 differs from the original")
-			}
 		})
 	}
 }
 
 // TestCompactStreamingByteIdentity pins the streaming writer's v4 bytes
-// against the freeze-path writer's for every fixture — the same
-// guarantee the v1–v3 formats carry. The fixtures include labelings
-// built from unsorted Adds (canonicalized), so Canonicalize ordering is
-// part of what round-trips.
+// against the freeze-path writer's for every compact fixture. The
+// fixtures include labelings built from unsorted Adds (canonicalized),
+// so Canonicalize ordering is part of what round-trips.
 func TestCompactStreamingByteIdentity(t *testing.T) {
 	for _, tc := range compactFixtures(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -395,34 +379,35 @@ func TestCompactThawDeepCopy(t *testing.T) {
 	}
 }
 
-// TestCompactOptionConflicts pins the option-combination errors on
-// every write door.
+// TestCompactOptionConflicts pins how the one option set that used to
+// conflict resolves: Aligned is inert, so {Compact, Aligned} is
+// {Compact} — the same bytes on every write door, never an error.
 func TestCompactOptionConflicts(t *testing.T) {
-	f := containerFixture(t)
-	c := CompactFromFlat(f)
-	for _, opts := range []ContainerOptions{
-		{Compact: true, Compress: true},
-		{Compact: true, Aligned: true},
-	} {
-		if _, err := f.WriteContainer(&bytes.Buffer{}, opts); err == nil {
-			t.Fatalf("flat WriteContainer accepted %+v", opts)
-		}
-		if _, err := c.WriteContainer(&bytes.Buffer{}, opts); err == nil {
-			t.Fatalf("compact WriteContainer accepted %+v", opts)
-		}
-		if _, err := f.Thaw().WriteContainerStreaming(&memWriterAt{}, opts); err == nil {
-			t.Fatalf("WriteContainerStreaming accepted %+v", opts)
-		}
+	_, f := parentFixture(t)
+	want := compactBytes(t, f)
+	both := ContainerOptions{Compact: true, Aligned: true}
+	var fromFlat, fromCompact bytes.Buffer
+	var streamed memWriterAt
+	if _, err := f.WriteContainer(&fromFlat, both); err != nil {
+		t.Fatalf("flat WriteContainer: %v", err)
 	}
-	if _, err := NewContainerWriter(&memWriterAt{}, 1, 1, false, ContainerOptions{Compact: true}); err == nil {
-		t.Fatal("NewContainerWriter accepted the compact payload")
+	if _, err := CompactFromFlat(f).WriteContainer(&fromCompact, both); err != nil {
+		t.Fatalf("compact WriteContainer: %v", err)
+	}
+	if _, err := f.Thaw().WriteContainerStreaming(&streamed, both); err != nil {
+		t.Fatalf("WriteContainerStreaming: %v", err)
+	}
+	for door, got := range map[string][]byte{"flat": fromFlat.Bytes(), "compact": fromCompact.Bytes(), "streaming": streamed.buf} {
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s door: {Compact, Aligned} wrote different bytes than {Compact}", door)
+		}
 	}
 }
 
 // TestCompactWriteContainerConverts pins the representation-conversion
-// write paths: a compact store still writes v1–v3 (via expansion) and a
-// compact write of an expanded store round-trips — so every (store,
-// option) pair serializes.
+// write paths: a compact store still writes the expanded layout (via
+// expansion), byte-identical to the flat store's, under both spellings
+// of the expanded options — so every (store, option) pair serializes.
 func TestCompactWriteContainerConverts(t *testing.T) {
 	_, f := parentFixture(t)
 	c := CompactFromFlat(f)
@@ -431,8 +416,7 @@ func TestCompactWriteContainerConverts(t *testing.T) {
 		opts ContainerOptions
 	}{
 		{"raw", ContainerOptions{}},
-		{"gamma", ContainerOptions{Compress: true}},
-		{"aligned", ContainerOptions{Aligned: true}},
+		{"aligned", ContainerOptions{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var fromCompact, fromFlat bytes.Buffer
@@ -443,7 +427,10 @@ func TestCompactWriteContainerConverts(t *testing.T) {
 				t.Fatalf("flat WriteContainer: %v", err)
 			}
 			if !bytes.Equal(fromCompact.Bytes(), fromFlat.Bytes()) {
-				t.Fatal("compact store writes different v1-v3 bytes than the flat store")
+				t.Fatal("compact store writes different expanded bytes than the flat store")
+			}
+			if !bytes.Equal(fromFlat.Bytes(), alignedBytes(t, f)) {
+				t.Fatal("the two spellings of the expanded options write different bytes")
 			}
 		})
 	}

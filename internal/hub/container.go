@@ -4,121 +4,88 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
-	"hublab/internal/bitio"
 	"hublab/internal/graph"
 )
 
-// Container format: the persistent on-disk form of a FlatLabeling.
+// Container format: the persistent on-disk form of a label store.
 //
-// A container is a little-endian byte stream:
+// A container is a little-endian byte stream in one sectioned format:
 //
-//	header (32 bytes)
-//	  [ 0: 8)  magic  "HUBLABIX"
-//	  [ 8:10)  format version (1, 2 or 3)
-//	  [10:12)  flags (bit 0: payload is Elias-gamma compressed, version ≤ 2;
-//	           bit 1, version ≥ 2 only: a parent column follows the payload)
-//	  [12:16)  reserved (must be zero)
-//	  [16:24)  n      — vertex count
-//	  [24:32)  slots  — len of the hub-id/distance columns, sentinels included
-//	payload (version 1 and 2)
-//	  raw    flag clear: offsets (n+1)·int32, hubIDs slots·int32,
-//	         dists slots·int32 — the flat arrays verbatim, so loading is a
-//	         sequential read plus one pass of byte→int32 conversion
-//	  gamma  flag set: a single gamma section in exactly the stream format
-//	         of Labeling.Encode (vertex count, then per vertex the label
-//	         size and gap/distance pairs, all Elias gamma), preceded by its
-//	         byte length as uint64
-//	parent column (version 2, only when flag bit 1 is set)
-//	  parents slots·int32 — the next-hop column verbatim (-1 on self
-//	  entries and sentinel slots), raw even in gamma containers: parents
-//	  are near-incompressible neighbor ids, and keeping them columnar
-//	  preserves the near-memcpy load
-//	payload (version 4 — the compact, mmap-servable layout)
-//	  [32:40)  section count (6, or 7 with the parent flag)
-//	  [40:48)  escape-slot count
-//	  then the same {offset, length} table + header crc32 scheme as
-//	  version 3, over the compact columns in fixed order: offsets
-//	  (n+1)·int32 (entry CSR, no sentinels), remap n·int32 (rank →
-//	  original hub id), escOff (n+1)·int32 (escape CSR), hubDelta
-//	  entries·u8, distDelta entries·u8 (or ·u16LE with flag bit 2),
-//	  esc escapes·int32, and optionally parents entries·int32. Same
-//	  64-byte alignment, zero padding and canonical-layout rejection
-//	  discipline as version 3; see CompactLabeling for the encoding and
-//	  OpenContainerMmap for the quick-open trust model (identical to v3
-//	  plus one O(n) addition: the remap table is verified to be a
-//	  permutation before any query runs). Flag bit 0 (gamma) and the
-//	  version-3 layout are both invalid in version 4 — the compact
-//	  payload composes with nothing else.
-//	payload (version 3 — the aligned, mmap-servable layout)
-//	  [32:40)  section count (3, or 4 with the parent flag)
-//	  then per section {file offset u64, byte length u64}: the table for
-//	  the offsets, hubIDs, dists (and parents) columns in that fixed
-//	  order, followed by a crc32 (Castagnoli) of everything before it —
-//	  the header checksum, which lets the zero-copy open authenticate the
-//	  layout in O(1) without streaming the (possibly multi-GB) columns
-//	  through the CPU. Every section starts at the next 64-byte file
-//	  boundary after its predecessor (so each column is cache-line
-//	  aligned both in the file and, since mappings are page-aligned, in
-//	  memory), its length is exactly the column's raw size, and every
-//	  padding byte between sections is zero. The table is deliberately
-//	  redundant — the reader recomputes the canonical layout and rejects
-//	  any deviation (misaligned offsets, over- or undersized lengths,
-//	  nonzero padding), so a hostile writer cannot smuggle unchecked
-//	  bytes or force out-of-map column views. The gamma flag is invalid
-//	  in version 3: a compressed payload cannot be pointed at zero-copy.
-//	trailer (4 bytes)
-//	  crc32 (Castagnoli) of everything before it
+//	base header (32 bytes)
+//	  [ 0: 8)  magic "HUBLABIX"
+//	  [ 8:10)  version (3 expanded, 4 compact; 1 and 2 are legacy)
+//	  [10:12)  flags (bit 1: a parent column is present; bit 2, compact
+//	           only: distance codes are two bytes wide)
+//	  [12:16)  reserved, zero
+//	  [16:24)  n — vertex count
+//	  [24:32)  label slots (expanded, sentinels included) or label
+//	           entries (compact)
+//	extended header
+//	  [32:40)  section count k
+//	  compact only: [40:48) escape-slot count
+//	  k × {file offset u64, byte length u64} — the section table
+//	  crc32 (Castagnoli) of every header byte before it
+//	sections, in table order, each starting at the first 64-byte file
+//	boundary at or after its predecessor's end, every padding byte zero
+//	trailer: crc32 (Castagnoli) of everything before it
 //
-// The writer emits version 1 — byte-identical to the historical format —
-// whenever the labeling carries no parent column, version 2 with flag
-// bit 1 when it does, and version 3 only when ContainerOptions.Aligned
-// asks for it, so old files load unchanged, new files without parents
-// stay readable by old code, and no format drift happens silently. A
-// version-1 file loads with no parent column; Path queries on it report
-// ErrNoParents.
+//	layout    version  sections                                   flags
+//	expanded  3        offsets (n+1)·i32, hubIDs, dists slots·i32  parents
+//	                   [, parents slots·i32] — the FlatLabeling
+//	                   columns verbatim
+//	compact   4        offsets (n+1)·i32, remap n·i32, escOff      parents,
+//	                   (n+1)·i32, hubDelta entries·u8, distDelta   wideDist
+//	                   entries·u8|u16, esc escapes·i32 [, parents
+//	                   entries·i32] — see CompactLabeling
 //
-// Both the writer and the reader work directly on the flat arrays: the
-// slice-of-slices Labeling form is never materialized, and the raw path in
-// particular loads near-memcpy. Version-3 containers additionally support
-// OpenContainerMmap, which skips even the memcpy: the columns are typed
-// views of the mapped file. All multi-byte fields are little-endian
-// regardless of host order.
+// The header checksum lets the zero-copy open (OpenStoreMmap)
+// authenticate the layout in O(1) without streaming the columns through
+// the CPU, and 64-byte alignment makes every column cache-line aligned
+// in the file and, mappings being page-aligned, in memory. The section
+// table is deliberately redundant: every reader recomputes the canonical
+// layout from the header fields and rejects any deviation (misaligned
+// offsets, over- or undersized lengths, nonzero padding, a file that is
+// not exactly the canonical size), so a hostile writer cannot smuggle
+// unchecked bytes or force out-of-map column views.
+//
+// Legacy, read-only: version 1 and 2 files (unaligned raw columns or an
+// Elias-gamma payload, version 2 adding the parent column) are no longer
+// written but still load — decoded onto the heap by legacy.go, through
+// ReadContainerStore and the fallback of OpenStoreMmap. Re-save one with
+// any ContainerOptions to migrate it.
 
 // ContainerVersion is the newest container format version this package
-// writes and reads. Version 1 (no parent column), version 2 and
-// version 3 (Aligned) files remain readable; version 4 is only written
-// on request (Compact).
-const ContainerVersion = 4
+// writes and reads.
+const ContainerVersion = versionCompact
 
 // containerMagic identifies hub-labeling index containers.
 var containerMagic = [8]byte{'H', 'U', 'B', 'L', 'A', 'B', 'I', 'X'}
 
 const (
 	containerHeaderLen   = 32
-	containerFlagGamma   = 1 << 0
 	containerFlagParents = 1 << 1
-	// containerFlagWideDist (version 4 only) widens the distance column
-	// to two-byte codes; set deterministically by the plan when narrow
+	// containerFlagWideDist (compact only) widens the distance column to
+	// two-byte codes; set deterministically by the plan when narrow
 	// distance escapes would exceed 1 in 8 entries.
 	containerFlagWideDist = 1 << 2
-	containerKnownFlagsV1 = containerFlagGamma
-	containerKnownFlagsV2 = containerFlagGamma | containerFlagParents
-	containerKnownFlagsV3 = containerFlagParents
-	containerKnownFlagsV4 = containerFlagParents | containerFlagWideDist
-	// containerVersionParents is the version emitted for labelings with a
-	// parent column when no alignment is requested.
-	containerVersionParents = 2
-	// containerVersionAligned is the version of the expanded aligned
-	// layout (written on Aligned; version 4 is the compact layout).
-	containerVersionAligned = 3
-	// containerAlign is the file-offset alignment of every version-3
-	// section: one cache line, which page-aligned mappings carry through
-	// to memory addresses.
+	versionExpanded       = 3
+	versionCompact        = 4
+	// containerAlign is the file-offset alignment of every section: one
+	// cache line, which page-aligned mappings carry through to memory
+	// addresses.
 	containerAlign = 64
+	// ioChunkBytes bounds the one reused buffer int32 columns are
+	// converted through, on the way out and on the way in.
+	ioChunkBytes = 4 << 20
+	// maxReserveBytes caps what a reader reserves on a header's word
+	// alone; past it, buffers grow only as bytes actually arrive.
+	maxReserveBytes = 64 << 20
 )
 
 // alignUp rounds n up to the next containerAlign boundary.
@@ -131,42 +98,176 @@ var ErrContainer = errors.New("hub: corrupt index container")
 
 // ContainerOptions configures WriteContainer.
 type ContainerOptions struct {
-	// Compress selects the Elias-gamma payload (smaller, slower to load)
-	// over the raw column payload (larger, near-memcpy to load).
-	Compress bool
-	// Aligned selects the version-3 layout: every column 64-byte aligned
-	// with explicit zero padding, servable zero-copy via
-	// OpenContainerMmap. Without it the writer emits the historical
-	// version 1/2 stream byte-identically. Incompatible with Compress.
-	Aligned bool
-	// Compact selects the version-4 layout: the queryable compressed
-	// representation (frequency-ranked remap, narrow delta columns with
-	// escape slots), 64-byte aligned and servable zero-copy like
-	// version 3 at roughly a quarter of the resident bytes. Incompatible
-	// with both Compress and Aligned — the compact payload IS the
-	// compression and IS aligned.
+	// Compact selects the compact layout (version 4): the queryable
+	// compressed representation, at roughly a quarter of the expanded
+	// layout's resident bytes. Without it the expanded layout (version 3)
+	// is written. Both are servable zero-copy via OpenStoreMmap.
 	Compact bool
+	// Aligned is inert: every written container is 64-byte aligned. The
+	// field remains because existing callers set it; {} and
+	// {Aligned: true} write the same bytes.
+	Aligned bool
 }
-
-// errCompactCompose rejects option sets that try to combine the compact
-// payload with another payload transform.
-var errCompactCompose = errors.New("hub: the compact (v4) container composes with no other payload option (drop -compress/-aligned)")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// WriteTo serializes f as a raw (uncompressed) container. It implements
-// io.WriterTo.
-func (f *FlatLabeling) WriteTo(w io.Writer) (int64, error) {
-	return f.WriteContainer(w, ContainerOptions{})
+// containerSection is one column's place in a container.
+type containerSection struct {
+	off, length int64
+	// raw marks a byte column (the compact delta codes); every other
+	// column is little-endian int32s.
+	raw bool
 }
 
-// WriteContainer serializes f in the container format described above and
-// returns the number of bytes written.
+// column is one section's payload in memory.
+type column struct {
+	ints []int32
+	raw  []byte
+}
+
+// layout is the one description of a sectioned container: the header
+// fields and the canonical placement of every section that follows from
+// them. Writers emit exactly this; readers recompute it from the header
+// and reject any file that deviates.
+type layout struct {
+	version, flags uint16
+	n, count       int64
+	// extras are the header words between the section count and the
+	// table (compact: the escape-slot count).
+	extras []int64
+	secs   []containerSection
+}
+
+// newLayout places secs (lengths given) in order, each at the first
+// 64-byte boundary at or after its predecessor's end.
+func newLayout(version, flags uint16, n, count int64, extras []int64, secs []containerSection) *layout {
+	l := &layout{version: version, flags: flags, n: n, count: count, extras: extras, secs: secs}
+	pos := l.headerLen()
+	for i := range secs {
+		pos = alignUp(pos)
+		secs[i].off = pos
+		pos += secs[i].length
+	}
+	return l
+}
+
+// expandedLayout is the version-3 layout: the FlatLabeling columns.
+func expandedLayout(n, slots int64, parents bool) *layout {
+	flags := uint16(0)
+	secs := []containerSection{{length: 4 * (n + 1)}, {length: 4 * slots}, {length: 4 * slots}}
+	if parents {
+		flags = containerFlagParents
+		secs = append(secs, containerSection{length: 4 * slots})
+	}
+	return newLayout(versionExpanded, flags, n, slots, nil, secs)
+}
+
+// compactLayout is the version-4 layout: the CompactLabeling columns.
+func compactLayout(n, entries, escs int64, wide, parents bool) *layout {
+	flags, stride := uint16(0), int64(1)
+	if wide {
+		flags, stride = containerFlagWideDist, 2
+	}
+	secs := []containerSection{
+		{length: 4 * (n + 1)}, {length: 4 * n}, {length: 4 * (n + 1)},
+		{length: entries, raw: true}, {length: stride * entries, raw: true},
+		{length: 4 * escs},
+	}
+	if parents {
+		flags |= containerFlagParents
+		secs = append(secs, containerSection{length: 4 * entries})
+	}
+	return newLayout(versionCompact, flags, n, entries, []int64{escs}, secs)
+}
+
+// headerLen is the byte length of the base plus extended header.
+func (l *layout) headerLen() int64 {
+	return containerHeaderLen + 8 + 8*int64(len(l.extras)) + 16*int64(len(l.secs)) + 4
+}
+
+// end is the file offset of the trailer.
+func (l *layout) end() int64 {
+	last := l.secs[len(l.secs)-1]
+	return last.off + last.length
+}
+
+// chunkLen sizes the conversion buffer for l's int32 columns.
+func (l *layout) chunkLen() int64 {
+	longest := int64(0)
+	for _, s := range l.secs {
+		if !s.raw {
+			longest = max(longest, s.length)
+		}
+	}
+	return min(longest, ioChunkBytes)
+}
+
+// header builds the base and extended header, header checksum included.
+func (l *layout) header() []byte {
+	le := binary.LittleEndian
+	hdr := make([]byte, l.headerLen())
+	copy(hdr, containerMagic[:])
+	le.PutUint16(hdr[8:], l.version)
+	le.PutUint16(hdr[10:], l.flags)
+	le.PutUint64(hdr[16:], uint64(l.n))
+	le.PutUint64(hdr[24:], uint64(l.count))
+	le.PutUint64(hdr[32:], uint64(len(l.secs)))
+	p := 40
+	for _, x := range l.extras {
+		le.PutUint64(hdr[p:], uint64(x))
+		p += 8
+	}
+	for _, s := range l.secs {
+		le.PutUint64(hdr[p:], uint64(s.off))
+		le.PutUint64(hdr[p+8:], uint64(s.length))
+		p += 16
+	}
+	le.PutUint32(hdr[p:], crc32.Checksum(hdr[:p], castagnoli))
+	return hdr
+}
+
+// sections returns f's container layout and columns in section order.
+func (f *FlatLabeling) sections() (*layout, []column) {
+	cols := []column{{ints: f.offsets}, {ints: f.hubIDs}, {ints: f.dists}}
+	if f.parents != nil {
+		cols = append(cols, column{ints: f.parents})
+	}
+	return expandedLayout(int64(f.NumVertices()), int64(len(f.hubIDs)), f.parents != nil), cols
+}
+
+// sections returns c's container layout and columns in section order.
+func (c *CompactLabeling) sections() (*layout, []column) {
+	cols := []column{{ints: c.offsets}, {ints: c.remap}, {ints: c.escOff},
+		{raw: c.hubDelta}, {raw: c.distDelta}, {ints: c.esc}}
+	if c.parents != nil {
+		cols = append(cols, column{ints: c.parents})
+	}
+	return compactLayout(int64(c.n), int64(len(c.hubDelta)), int64(len(c.esc)), c.wide, c.parents != nil), cols
+}
+
+// store assembles the label store over cols, the inverse of sections.
+// Nothing is validated here.
+func (l *layout) store(cols []column) LabelStore {
+	if l.version == versionCompact {
+		c := &CompactLabeling{n: int(l.n), wide: l.flags&containerFlagWideDist != 0,
+			offsets: cols[0].ints, remap: cols[1].ints, escOff: cols[2].ints,
+			hubDelta: cols[3].raw, distDelta: cols[4].raw, esc: cols[5].ints}
+		if len(cols) > 6 {
+			c.parents = cols[6].ints
+		}
+		return c
+	}
+	f := &FlatLabeling{offsets: cols[0].ints, hubIDs: cols[1].ints, dists: cols[2].ints}
+	if len(cols) > 3 {
+		f.parents = cols[3].ints
+	}
+	return f
+}
+
+// WriteContainer serializes f in the container format described above
+// and returns the number of bytes written.
 func (f *FlatLabeling) WriteContainer(w io.Writer, opts ContainerOptions) (int64, error) {
 	if opts.Compact {
-		if opts.Compress || opts.Aligned {
-			return 0, errCompactCompose
-		}
 		// Re-encoding rank-maps every hub id, so the labels must be
 		// structurally valid — always true for built or decoded labelings,
 		// not guaranteed for quick-validated mmap views. The audit is
@@ -174,172 +275,58 @@ func (f *FlatLabeling) WriteContainer(w io.Writer, opts ContainerOptions) (int64
 		if err := f.validate(); err != nil {
 			return 0, fmt.Errorf("hub: compact re-encode: %w", err)
 		}
-		return CompactFromFlat(f).writeV4(w)
+		return writeSections(w, CompactFromFlat(f))
 	}
-	if opts.Aligned {
-		if opts.Compress {
-			return 0, fmt.Errorf("hub: aligned containers cannot use the gamma payload")
-		}
-		return f.writeAligned(w)
-	}
-	var header [containerHeaderLen]byte
-	copy(header[0:8], containerMagic[:])
-	version := uint16(1)
-	flags := uint16(0)
-	if opts.Compress {
-		flags |= containerFlagGamma
-	}
-	if f.parents != nil {
-		version = containerVersionParents
-		flags |= containerFlagParents
-	}
-	binary.LittleEndian.PutUint16(header[8:10], version)
-	binary.LittleEndian.PutUint16(header[10:12], flags)
-	binary.LittleEndian.PutUint64(header[16:24], uint64(f.NumVertices()))
-	binary.LittleEndian.PutUint64(header[24:32], uint64(len(f.hubIDs)))
+	return writeSections(w, f)
+}
 
+// writeSections is the sequential emitter for stores whose columns
+// exist: header, then per section its zero padding and payload, then the
+// crc32 of it all. Int32 columns stream through one reused chunk instead
+// of a second full copy of the arrays.
+func writeSections(w io.Writer, store interface{ sections() (*layout, []column) }) (int64, error) {
+	l, cols := store.sections()
 	crc := crc32.New(castagnoli)
 	cw := &countingWriter{w: w}
 	body := io.MultiWriter(cw, crc)
-	if _, err := body.Write(header[:]); err != nil {
-		return cw.n, err
-	}
-	if opts.Compress {
-		stream, err := f.encodeGamma()
-		if err != nil {
-			return cw.n, err
-		}
-		var lenBuf [8]byte
-		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(stream)))
-		if _, err := body.Write(lenBuf[:]); err != nil {
-			return cw.n, err
-		}
-		if _, err := body.Write(stream); err != nil {
-			return cw.n, err
-		}
-		if err := writeColumns(body, [][]int32{f.parents}); err != nil {
-			return cw.n, err
-		}
-	} else {
-		// Stream the columns through one reused chunk buffer instead of
-		// materializing a second full copy of the arrays. A nil parents
-		// column simply contributes nothing.
-		if err := writeColumns(body, [][]int32{f.offsets, f.hubIDs, f.dists, f.parents}); err != nil {
-			return cw.n, err
-		}
-	}
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc.Sum32())
-	if _, err := cw.Write(trailer[:]); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
-
-// writeColumns streams int32 columns little-endian through one reused
-// chunk buffer instead of materializing a full byte copy of the arrays.
-func writeColumns(w io.Writer, cols [][]int32) error {
-	chunk := make([]byte, 4<<20)
-	for _, col := range cols {
-		for len(col) > 0 {
-			n := len(col)
-			if n > len(chunk)/4 {
-				n = len(chunk) / 4
-			}
-			putInt32s(chunk, 0, col[:n])
-			if _, err := w.Write(chunk[:4*n]); err != nil {
-				return err
-			}
-			col = col[n:]
-		}
-	}
-	return nil
-}
-
-// containerSection is one column's place in a version-3 container.
-type containerSection struct {
-	off, length int64
-}
-
-// alignedHeaderLen is the byte length of the version-3 extended header:
-// base header, section count, k table entries, header crc32.
-func alignedHeaderLen(k int) int64 {
-	return containerHeaderLen + 8 + 16*int64(k) + 4
-}
-
-// containerSections computes the canonical version-3 layout for n
-// vertices and slots label slots: each column's file offset and byte
-// length in fixed order (offsets, hubIDs, dists, then parents when
-// present), plus the position of the crc trailer. Every section starts
-// at the first 64-byte boundary at or after its predecessor's end; the
-// reader rejects any file that deviates from exactly this layout.
-func containerSections(n, slots int64, parents bool) (secs []containerSection, end int64) {
-	k := 3
-	if parents {
-		k = 4
-	}
-	lengths := []int64{4 * (n + 1), 4 * slots, 4 * slots, 4 * slots}[:k]
-	pos := alignedHeaderLen(k)
-	secs = make([]containerSection, k)
-	for i, l := range lengths {
-		pos = alignUp(pos)
-		secs[i] = containerSection{off: pos, length: l}
-		pos += l
-	}
-	return secs, pos
-}
-
-// writeAligned emits the version-3 aligned container.
-func (f *FlatLabeling) writeAligned(w io.Writer) (int64, error) {
-	n, slots := int64(f.NumVertices()), int64(len(f.hubIDs))
-	secs, _ := containerSections(n, slots, f.parents != nil)
-	hdr := make([]byte, alignedHeaderLen(len(secs)))
-	copy(hdr[0:8], containerMagic[:])
-	binary.LittleEndian.PutUint16(hdr[8:10], containerVersionAligned)
-	flags := uint16(0)
-	if f.parents != nil {
-		flags |= containerFlagParents
-	}
-	binary.LittleEndian.PutUint16(hdr[10:12], flags)
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(n))
-	binary.LittleEndian.PutUint64(hdr[24:32], uint64(slots))
-	binary.LittleEndian.PutUint64(hdr[32:40], uint64(len(secs)))
-	for i, s := range secs {
-		binary.LittleEndian.PutUint64(hdr[40+16*i:], uint64(s.off))
-		binary.LittleEndian.PutUint64(hdr[48+16*i:], uint64(s.length))
-	}
-	binary.LittleEndian.PutUint32(hdr[len(hdr)-4:], crc32.Checksum(hdr[:len(hdr)-4], castagnoli))
-
-	crc := crc32.New(castagnoli)
-	cw := &countingWriter{w: w}
-	body := io.MultiWriter(cw, crc)
-	if _, err := body.Write(hdr); err != nil {
-		return cw.n, err
-	}
 	var pad [containerAlign]byte
-	pos := int64(len(hdr))
-	cols := [][]int32{f.offsets, f.hubIDs, f.dists, f.parents}
-	sec := 0
-	for _, col := range cols {
-		if col == nil {
-			continue
-		}
-		s := secs[sec]
-		sec++
+	chunk := make([]byte, l.chunkLen())
+	if _, err := body.Write(l.header()); err != nil {
+		return cw.n, err
+	}
+	pos := l.headerLen()
+	for i, s := range l.secs {
 		if _, err := body.Write(pad[:s.off-pos]); err != nil {
 			return cw.n, err
 		}
-		if err := writeColumns(body, [][]int32{col}); err != nil {
+		var err error
+		if s.raw {
+			_, err = body.Write(cols[i].raw)
+		} else {
+			err = writeInt32s(body, chunk, cols[i].ints)
+		}
+		if err != nil {
 			return cw.n, err
 		}
 		pos = s.off + s.length
 	}
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc.Sum32())
-	if _, err := cw.Write(trailer[:]); err != nil {
-		return cw.n, err
+	_, err := cw.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
+	return cw.n, err
+}
+
+// writeInt32s streams col little-endian through chunk.
+func writeInt32s(w io.Writer, chunk []byte, col []int32) error {
+	for len(col) > 0 {
+		n := min(len(col), len(chunk)/4)
+		for i, x := range col[:n] {
+			binary.LittleEndian.PutUint32(chunk[4*i:], uint32(x))
+		}
+		if _, err := w.Write(chunk[:4*n]); err != nil {
+			return err
+		}
+		col = col[n:]
 	}
-	return cw.n, nil
+	return nil
 }
 
 // countingWriter tracks bytes written to the underlying writer.
@@ -354,640 +341,227 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// ReadFrom parses a container produced by WriteContainer into f,
-// implementing io.ReaderFrom. Malformed input of any kind — bad magic,
-// an unknown version or flag, truncated sections, checksum mismatch, or
-// structurally invalid arrays — is reported as an error wrapping
-// ErrContainer; parsing never panics on hostile input. Loading into a
-// view-backed labeling is a programmer error and panics: overwriting the
-// struct would orphan the mapping with live column views outstanding —
-// Release the view and load into a fresh FlatLabeling instead.
-func (f *FlatLabeling) ReadFrom(r io.Reader) (int64, error) {
-	if !f.Owned() {
-		panic("hub: ReadFrom into a view-backed FlatLabeling would orphan its mapping (Release it and load into a fresh labeling)")
-	}
-	loaded, n, err := readContainer(r)
-	if err != nil {
-		return n, err
-	}
-	*f = *loaded
-	return n, nil
-}
-
-// ReadContainer parses a container produced by WriteContainer and
-// returns the loaded FlatLabeling. See (*FlatLabeling).ReadFrom for the
-// error contract; ReadContainer never panics on hostile input. A
-// version-4 container is decoded, fully validated, and then expanded —
-// use ReadContainerStore to keep the compact representation.
-func ReadContainer(r io.Reader) (*FlatLabeling, error) {
-	f, _, err := readContainer(r)
-	return f, err
-}
-
-// ReadContainerStore parses a container in whatever representation it
-// was written: version 1–3 files load as a *FlatLabeling, version-4
-// files as a *CompactLabeling. Every load is fully validated (structure
-// and trailer checksum); errors wrap ErrContainer and parsing never
-// panics on hostile input.
-func ReadContainerStore(r io.Reader) (LabelStore, error) {
-	s, _, err := readContainerStore(r)
-	return s, err
-}
-
-// readContainer is readContainerStore pinned to the expanded
-// representation: compact loads are expanded before returning.
-func readContainer(r io.Reader) (*FlatLabeling, int64, error) {
-	s, read, err := readContainerStore(r)
-	if err != nil {
-		return nil, read, err
-	}
-	if c, ok := s.(*CompactLabeling); ok {
-		return c.Expand(), read, nil
-	}
-	return s.(*FlatLabeling), read, nil
+// containerHeader is the parsed 32-byte base header.
+type containerHeader struct {
+	version, flags uint16
+	n, count       int64
 }
 
 // parseContainerHeader validates the fixed 32-byte header shared by all
 // container versions — magic, version, the version-appropriate flag
-// mask, the reserved field, and the n/slots plausibility bounds that
-// cap hostile allocations before any buffer is reserved (the flat
-// offsets are int32, so slots — and a fortiori n — must fit). Both the
-// streaming reader and the mmap opener go through here, so a hardening
-// fix lands in every door at once.
-func parseContainerHeader(header []byte) (version, flags uint16, n64, slots64 uint64, err error) {
-	if [8]byte(header[0:8]) != containerMagic {
-		return 0, 0, 0, 0, fmt.Errorf("%w: bad magic %q", ErrContainer, header[0:8])
+// mask, the reserved field, and the n/count plausibility bounds that cap
+// hostile allocations before any buffer is reserved (the columns are
+// int32-indexed, so count — and n — must fit). Both the streaming reader
+// and the mmap opener go through here, so a hardening fix lands in every
+// door at once.
+func parseContainerHeader(b []byte) (containerHeader, error) {
+	le := binary.LittleEndian
+	if [8]byte(b[0:8]) != containerMagic {
+		return containerHeader{}, fmt.Errorf("%w: bad magic %q", ErrContainer, b[0:8])
 	}
-	version = binary.LittleEndian.Uint16(header[8:10])
-	if version < 1 || version > ContainerVersion {
-		return 0, 0, 0, 0, fmt.Errorf("%w: unsupported version %d", ErrContainer, version)
-	}
-	known := uint16(containerKnownFlagsV1)
+	version, flags := le.Uint16(b[8:10]), le.Uint16(b[10:12])
+	var known uint16
 	switch {
-	case version >= 4:
-		known = containerKnownFlagsV4
-	case version == 3:
-		known = containerKnownFlagsV3
-	case version == 2:
-		known = containerKnownFlagsV2
+	case version < 1 || version > ContainerVersion:
+		return containerHeader{}, fmt.Errorf("%w: unsupported version %d", ErrContainer, version)
+	case version == versionCompact:
+		known = containerFlagParents | containerFlagWideDist
+	case version == versionExpanded:
+		known = containerFlagParents
+	default:
+		known = legacyKnownFlags(version)
 	}
-	flags = binary.LittleEndian.Uint16(header[10:12])
 	if flags&^known != 0 {
-		return 0, 0, 0, 0, fmt.Errorf("%w: unknown flags %#x for version %d", ErrContainer, flags, version)
+		return containerHeader{}, fmt.Errorf("%w: unknown flags %#x for version %d", ErrContainer, flags, version)
 	}
-	if rsv := binary.LittleEndian.Uint32(header[12:16]); rsv != 0 {
-		return 0, 0, 0, 0, fmt.Errorf("%w: nonzero reserved field", ErrContainer)
+	if le.Uint32(b[12:16]) != 0 {
+		return containerHeader{}, fmt.Errorf("%w: nonzero reserved field", ErrContainer)
 	}
-	n64 = binary.LittleEndian.Uint64(header[16:24])
-	slots64 = binary.LittleEndian.Uint64(header[24:32])
-	if version >= 4 {
-		// Version 4 stores entries (no sentinels) in the slots field, so
-		// slots < n is legal (empty labels cost nothing); n itself must
-		// leave room for int32 vertex ids.
-		if slots64 > math.MaxInt32 || n64 >= math.MaxInt32 {
-			return 0, 0, 0, 0, fmt.Errorf("%w: implausible sizes n=%d entries=%d", ErrContainer, n64, slots64)
-		}
-	} else if slots64 > math.MaxInt32 || n64 > slots64 {
-		return 0, 0, 0, 0, fmt.Errorf("%w: implausible sizes n=%d slots=%d", ErrContainer, n64, slots64)
+	n, count := le.Uint64(b[16:24]), le.Uint64(b[24:32])
+	// The compact layout counts entries (no sentinels), so count < n is
+	// legal there (empty labels cost nothing) and n itself must leave room
+	// for int32 vertex ids; every other version stores a sentinel per
+	// vertex.
+	if count > math.MaxInt32 || (version == versionCompact && n >= math.MaxInt32) ||
+		(version != versionCompact && n > count) {
+		return containerHeader{}, fmt.Errorf("%w: implausible sizes n=%d count=%d", ErrContainer, n, count)
 	}
-	return version, flags, n64, slots64, nil
+	return containerHeader{version: version, flags: flags, n: int64(n), count: int64(count)}, nil
 }
 
-func readContainerStore(r io.Reader) (LabelStore, int64, error) {
-	var header [containerHeaderLen]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		return nil, 0, fmt.Errorf("%w: header: %v", ErrContainer, err)
+// layout returns the canonical layout of a sectioned (version ≥ 3)
+// header; escs is the compact layout's escape-slot count.
+func (h containerHeader) layout(escs int64) *layout {
+	parents := h.flags&containerFlagParents != 0
+	if h.version == versionCompact {
+		return compactLayout(h.n, h.count, escs, h.flags&containerFlagWideDist != 0, parents)
 	}
-	read := int64(containerHeaderLen)
-	version, flags, n64, slots64, err := parseContainerHeader(header[:])
-	if err != nil {
-		return nil, read, err
-	}
-	n, slots := int(n64), int(slots64)
-
-	crc := crc32.New(castagnoli)
-	crc.Write(header[:])
-	body := io.TeeReader(r, crc)
-
-	if version >= 4 {
-		c, sread, err := readCompactSections(header[:], body, n, slots,
-			flags&containerFlagWideDist != 0, flags&containerFlagParents != 0)
-		read += sread
-		if err != nil {
-			return nil, read, err
-		}
-		var trailer [4]byte
-		if _, err := io.ReadFull(r, trailer[:]); err != nil {
-			return nil, read, fmt.Errorf("%w: checksum: %v", ErrContainer, err)
-		}
-		read += 4
-		if got, want := crc.Sum32(), binary.LittleEndian.Uint32(trailer[:]); got != want {
-			return nil, read, fmt.Errorf("%w: checksum mismatch (computed %#x, stored %#x)", ErrContainer, got, want)
-		}
-		if err := c.Validate(); err != nil {
-			return nil, read, fmt.Errorf("%w: %v", ErrContainer, err)
-		}
-		return c, read, nil
-	}
-
-	if version == 3 {
-		f, sread, err := readAlignedSections(header[:], body, n, slots, flags&containerFlagParents != 0)
-		read += sread
-		if err != nil {
-			return nil, read, err
-		}
-		var trailer [4]byte
-		if _, err := io.ReadFull(r, trailer[:]); err != nil {
-			return nil, read, fmt.Errorf("%w: checksum: %v", ErrContainer, err)
-		}
-		read += 4
-		if got, want := crc.Sum32(), binary.LittleEndian.Uint32(trailer[:]); got != want {
-			return nil, read, fmt.Errorf("%w: checksum mismatch (computed %#x, stored %#x)", ErrContainer, got, want)
-		}
-		if err := f.validate(); err != nil {
-			return nil, read, fmt.Errorf("%w: %v", ErrContainer, err)
-		}
-		return f, read, nil
-	}
-
-	var f *FlatLabeling
-	if flags&containerFlagGamma != 0 {
-		var lenBuf [8]byte
-		if _, err := io.ReadFull(body, lenBuf[:]); err != nil {
-			return nil, read, fmt.Errorf("%w: gamma section length: %v", ErrContainer, err)
-		}
-		read += 8
-		streamLen := binary.LittleEndian.Uint64(lenBuf[:])
-		if streamLen > 3*8*slots64+16 {
-			return nil, read, fmt.Errorf("%w: implausible gamma section length %d", ErrContainer, streamLen)
-		}
-		// Every non-sentinel slot costs at least two gamma codes (gap +
-		// distance) of one bit each, and every vertex one size code — so a
-		// stream this short cannot fill the declared slots. Checking before
-		// allocating keeps hostile headers from reserving huge arrays.
-		if 2*(slots64-n64)+n64 > 8*streamLen {
-			return nil, read, fmt.Errorf("%w: gamma section of %d bytes cannot fill %d slots",
-				ErrContainer, streamLen, slots64)
-		}
-		stream, err := readExact(body, int64(streamLen))
-		read += int64(len(stream))
-		if err != nil {
-			return nil, read, fmt.Errorf("%w: gamma section: %v", ErrContainer, err)
-		}
-		if f, err = decodeGamma(stream, n, slots); err != nil {
-			return nil, read, err
-		}
-	} else {
-		// Length arithmetic stays in int64 until the size is known to fit
-		// the platform int — on 32-bit, a hostile header must error here
-		// rather than overflow into a short read and a panic below.
-		payloadLen := 4 * (int64(n64) + 1 + 2*int64(slots64))
-		if payloadLen > math.MaxInt-containerHeaderLen {
-			return nil, read, fmt.Errorf("%w: %d-byte payload exceeds address space", ErrContainer, payloadLen)
-		}
-		payload, err := readExact(body, payloadLen)
-		read += int64(len(payload))
-		if err != nil {
-			return nil, read, fmt.Errorf("%w: columns: %v", ErrContainer, err)
-		}
-		f = &FlatLabeling{
-			offsets: getInt32s(payload, 0, n+1),
-			hubIDs:  getInt32s(payload, 4*(n+1), slots),
-			dists:   getInt32s(payload, 4*(n+1+slots), slots),
-		}
-	}
-	if flags&containerFlagParents != 0 {
-		col, err := readExact(body, 4*int64(slots))
-		read += int64(len(col))
-		if err != nil {
-			return nil, read, fmt.Errorf("%w: parent column: %v", ErrContainer, err)
-		}
-		f.parents = getInt32s(col, 0, slots)
-	}
-
-	var trailer [4]byte
-	if _, err := io.ReadFull(r, trailer[:]); err != nil {
-		return nil, read, fmt.Errorf("%w: checksum: %v", ErrContainer, err)
-	}
-	read += 4
-	if got, want := crc.Sum32(), binary.LittleEndian.Uint32(trailer[:]); got != want {
-		return nil, read, fmt.Errorf("%w: checksum mismatch (computed %#x, stored %#x)", ErrContainer, got, want)
-	}
-	if err := f.validate(); err != nil {
-		return nil, read, fmt.Errorf("%w: %v", ErrContainer, err)
-	}
-	return f, read, nil
+	return expandedLayout(h.n, h.count, parents)
 }
 
-// parseSectionTable validates a version-3 section table against the
-// canonical layout for the header's n/slots/parents. Any deviation —
-// a misaligned offset, an over- or undersized length, reordered or
-// overlapping sections — is rejected: the table is redundant by design,
-// so nothing an attacker writes into it can move or grow a column view.
-func parseSectionTable(table []byte, want []containerSection) ([]containerSection, error) {
-	for i := range want {
-		off := binary.LittleEndian.Uint64(table[16*i:])
-		length := binary.LittleEndian.Uint64(table[16*i+8:])
-		if off%containerAlign != 0 {
-			return nil, fmt.Errorf("%w: section %d misaligned at offset %d", ErrContainer, i, off)
-		}
-		if off != uint64(want[i].off) || length != uint64(want[i].length) {
-			return nil, fmt.Errorf("%w: section %d at (%d,%d) deviates from the canonical layout (%d,%d)",
-				ErrContainer, i, off, length, want[i].off, want[i].length)
-		}
-	}
-	return want, nil
+// extLen is the byte length of the extended header that follows a
+// sectioned base header — fixed by version and flags alone.
+func (h containerHeader) extLen() int64 {
+	return h.layout(0).headerLen() - containerHeaderLen
 }
 
-// validateAlignedExt validates a version-3 extended header — section
-// count, canonical table, header checksum — given the 32-byte base
-// header and the alignedHeaderLen-32 bytes after it. Shared by the
-// streaming reader and the mmap opener, so the authentication and
-// layout rules cannot drift between the two doors.
-func validateAlignedExt(base, ext []byte, want []containerSection) ([]containerSection, error) {
-	if got := binary.LittleEndian.Uint64(ext[0:8]); got != uint64(len(want)) {
-		return nil, fmt.Errorf("%w: %d sections, layout has %d", ErrContainer, got, len(want))
+// parseExt validates a sectioned container's extended header — extras,
+// section count, header checksum, and the section table against the
+// canonical layout — and returns that layout. The table is redundant by
+// design: any deviation (a misaligned offset, an over- or undersized
+// length, reordered or overlapping sections) is rejected, so nothing an
+// attacker writes into it can move or grow a column. Shared by the
+// streaming reader and the mmap opener, so the authentication and layout
+// rules cannot drift between the two doors.
+func (h containerHeader) parseExt(base, ext []byte) (*layout, error) {
+	le := binary.LittleEndian
+	var escs uint64
+	if h.version == versionCompact {
+		// Bounded by construction — at most one hub and one distance
+		// escape per entry — before it sizes anything.
+		if escs = le.Uint64(ext[8:16]); escs > 2*uint64(h.count) {
+			return nil, fmt.Errorf("%w: %d escape slots for %d entries", ErrContainer, escs, h.count)
+		}
 	}
-	hcrc := crc32.Checksum(base, castagnoli)
-	hcrc = crc32.Update(hcrc, castagnoli, ext[:len(ext)-4])
-	if stored := binary.LittleEndian.Uint32(ext[len(ext)-4:]); hcrc != stored {
+	l := h.layout(int64(escs))
+	if got := le.Uint64(ext[0:8]); got != uint64(len(l.secs)) {
+		return nil, fmt.Errorf("%w: %d sections, layout has %d", ErrContainer, got, len(l.secs))
+	}
+	table := ext[8+8*len(l.extras) : len(ext)-4]
+	hcrc := crc32.Update(crc32.Checksum(base, castagnoli), castagnoli, ext[:len(ext)-4])
+	if stored := le.Uint32(ext[len(ext)-4:]); hcrc != stored {
 		return nil, fmt.Errorf("%w: header checksum mismatch (computed %#x, stored %#x)", ErrContainer, hcrc, stored)
 	}
-	return parseSectionTable(ext[8:len(ext)-4], want)
+	for i, want := range l.secs {
+		off, length := le.Uint64(table[16*i:]), le.Uint64(table[16*i+8:])
+		if off != uint64(want.off) || length != uint64(want.length) {
+			return nil, fmt.Errorf("%w: section %d at (%d,%d) deviates from the canonical layout (%d,%d)",
+				ErrContainer, i, off, length, want.off, want.length)
+		}
+	}
+	return l, nil
 }
 
-// readAlignedSections streams the version-3 payload: section count,
-// table, header checksum, and the zero-padded aligned columns. It
-// returns the decoded (owned) labeling; structural validation and the
-// trailer checksum stay with the caller.
-func readAlignedSections(header []byte, body io.Reader, n, slots int, parents bool) (*FlatLabeling, int64, error) {
-	want, _ := containerSections(int64(n), int64(slots), parents)
-	var read int64
-	ext, err := readExact(body, alignedHeaderLen(len(want))-containerHeaderLen)
-	read += int64(len(ext))
+// ReadContainerStore parses a container in whatever representation it
+// was written: expanded (and legacy version 1–2) files load as a
+// *FlatLabeling, compact files as a *CompactLabeling. Every load is
+// fully validated (structure and trailer checksum); errors wrap
+// ErrContainer and parsing never panics on hostile input. Reading stops
+// at the trailer — whether bytes may follow it is the caller's call.
+func ReadContainerStore(r io.Reader) (LabelStore, error) {
+	var base [containerHeaderLen]byte
+	if _, err := io.ReadFull(r, base[:]); err != nil {
+		return nil, fmt.Errorf("%w: header: %v", ErrContainer, err)
+	}
+	h, err := parseContainerHeader(base[:])
 	if err != nil {
-		return nil, read, fmt.Errorf("%w: extended header: %v", ErrContainer, err)
-	}
-	secs, err := validateAlignedExt(header, ext, want)
-	if err != nil {
-		return nil, read, err
-	}
-
-	pos := alignedHeaderLen(len(secs))
-	counts := []int{n + 1, slots, slots, slots}
-	cols := make([][]int32, len(secs))
-	for i, s := range secs {
-		pad, err := readExact(body, s.off-pos)
-		read += int64(len(pad))
-		if err != nil {
-			return nil, read, fmt.Errorf("%w: section %d padding: %v", ErrContainer, i, err)
-		}
-		for _, b := range pad {
-			if b != 0 {
-				return nil, read, fmt.Errorf("%w: nonzero padding before section %d", ErrContainer, i)
-			}
-		}
-		if s.length > math.MaxInt-containerHeaderLen {
-			return nil, read, fmt.Errorf("%w: %d-byte section exceeds address space", ErrContainer, s.length)
-		}
-		raw, err := readExact(body, s.length)
-		read += int64(len(raw))
-		if err != nil {
-			return nil, read, fmt.Errorf("%w: section %d: %v", ErrContainer, i, err)
-		}
-		cols[i] = getInt32s(raw, 0, counts[i])
-		pos = s.off + s.length
-	}
-	f := &FlatLabeling{offsets: cols[0], hubIDs: cols[1], dists: cols[2]}
-	if parents {
-		f.parents = cols[3]
-	}
-	return f, read, nil
-}
-
-// compactHeaderLen is the byte length of the version-4 extended header:
-// base header, section count, escape-slot count, k table entries, header
-// crc32.
-func compactHeaderLen(k int) int64 {
-	return containerHeaderLen + 8 + 8 + 16*int64(k) + 4
-}
-
-// containerSectionsV4 computes the canonical version-4 layout for n
-// vertices, entries label entries and escs escape slots: each column's
-// file offset and byte length in fixed order (offsets, remap, escOff,
-// hubDelta, distDelta, esc, then parents when present). Alignment rules
-// are exactly version 3's.
-func containerSectionsV4(n, entries, escs int64, wide, parents bool) (secs []containerSection, end int64) {
-	k := 6
-	if parents {
-		k = 7
-	}
-	stride := int64(1)
-	if wide {
-		stride = 2
-	}
-	lengths := []int64{4 * (n + 1), 4 * n, 4 * (n + 1), entries, stride * entries, 4 * escs, 4 * entries}[:k]
-	pos := compactHeaderLen(k)
-	secs = make([]containerSection, k)
-	for i, l := range lengths {
-		pos = alignUp(pos)
-		secs[i] = containerSection{off: pos, length: l}
-		pos += l
-	}
-	return secs, pos
-}
-
-// buildCompactHeader assembles the version-4 extended header, shared by
-// the in-memory writer (writeV4) and the streaming writer so the two
-// emit byte-identical files.
-func buildCompactHeader(n, entries, escs int64, wide, parents bool, secs []containerSection) []byte {
-	hdr := make([]byte, compactHeaderLen(len(secs)))
-	copy(hdr[0:8], containerMagic[:])
-	binary.LittleEndian.PutUint16(hdr[8:10], ContainerVersion)
-	flags := uint16(0)
-	if parents {
-		flags |= containerFlagParents
-	}
-	if wide {
-		flags |= containerFlagWideDist
-	}
-	binary.LittleEndian.PutUint16(hdr[10:12], flags)
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(n))
-	binary.LittleEndian.PutUint64(hdr[24:32], uint64(entries))
-	binary.LittleEndian.PutUint64(hdr[32:40], uint64(len(secs)))
-	binary.LittleEndian.PutUint64(hdr[40:48], uint64(escs))
-	for i, s := range secs {
-		binary.LittleEndian.PutUint64(hdr[48+16*i:], uint64(s.off))
-		binary.LittleEndian.PutUint64(hdr[56+16*i:], uint64(s.length))
-	}
-	binary.LittleEndian.PutUint32(hdr[len(hdr)-4:], crc32.Checksum(hdr[:len(hdr)-4], castagnoli))
-	return hdr
-}
-
-// validateCompactExt validates a version-4 extended header — section
-// count, escape-slot plausibility, canonical table, header checksum —
-// given the 32-byte base header and the compactHeaderLen-32 bytes after
-// it. Shared by the streaming reader and the mmap opener. The escape
-// count is bounded by construction (at most one hub and one distance
-// escape per entry) before it sizes anything.
-func validateCompactExt(base, ext []byte, n, entries int64, wide, parents bool) ([]containerSection, int64, error) {
-	esc64 := binary.LittleEndian.Uint64(ext[8:16])
-	if esc64 > 2*uint64(entries) {
-		return nil, 0, fmt.Errorf("%w: %d escape slots for %d entries", ErrContainer, esc64, entries)
-	}
-	want, _ := containerSectionsV4(n, entries, int64(esc64), wide, parents)
-	if got := binary.LittleEndian.Uint64(ext[0:8]); got != uint64(len(want)) {
-		return nil, 0, fmt.Errorf("%w: %d sections, layout has %d", ErrContainer, got, len(want))
-	}
-	hcrc := crc32.Checksum(base, castagnoli)
-	hcrc = crc32.Update(hcrc, castagnoli, ext[:len(ext)-4])
-	if stored := binary.LittleEndian.Uint32(ext[len(ext)-4:]); hcrc != stored {
-		return nil, 0, fmt.Errorf("%w: header checksum mismatch (computed %#x, stored %#x)", ErrContainer, hcrc, stored)
-	}
-	secs, err := parseSectionTable(ext[16:len(ext)-4], want)
-	return secs, int64(esc64), err
-}
-
-// readCompactSections streams the version-4 payload into an owned
-// CompactLabeling; structural validation and the trailer checksum stay
-// with the caller.
-func readCompactSections(header []byte, body io.Reader, n, entries int, wide, parents bool) (*CompactLabeling, int64, error) {
-	k := 6
-	if parents {
-		k = 7
-	}
-	var read int64
-	ext, err := readExact(body, compactHeaderLen(k)-containerHeaderLen)
-	read += int64(len(ext))
-	if err != nil {
-		return nil, read, fmt.Errorf("%w: extended header: %v", ErrContainer, err)
-	}
-	secs, _, err := validateCompactExt(header, ext, int64(n), int64(entries), wide, parents)
-	if err != nil {
-		return nil, read, err
-	}
-
-	c := &CompactLabeling{n: n, wide: wide}
-	pos := compactHeaderLen(len(secs))
-	for i, s := range secs {
-		pad, err := readExact(body, s.off-pos)
-		read += int64(len(pad))
-		if err != nil {
-			return nil, read, fmt.Errorf("%w: section %d padding: %v", ErrContainer, i, err)
-		}
-		for _, b := range pad {
-			if b != 0 {
-				return nil, read, fmt.Errorf("%w: nonzero padding before section %d", ErrContainer, i)
-			}
-		}
-		if s.length > math.MaxInt-containerHeaderLen {
-			return nil, read, fmt.Errorf("%w: %d-byte section exceeds address space", ErrContainer, s.length)
-		}
-		raw, err := readExact(body, s.length)
-		read += int64(len(raw))
-		if err != nil {
-			return nil, read, fmt.Errorf("%w: section %d: %v", ErrContainer, i, err)
-		}
-		switch i {
-		case 0:
-			c.offsets = getInt32s(raw, 0, n+1)
-		case 1:
-			c.remap = getInt32s(raw, 0, n)
-		case 2:
-			c.escOff = getInt32s(raw, 0, n+1)
-		case 3:
-			c.hubDelta = raw
-		case 4:
-			c.distDelta = raw
-		case 5:
-			c.esc = getInt32s(raw, 0, int(s.length/4))
-		case 6:
-			c.parents = getInt32s(raw, 0, entries)
-		}
-		pos = s.off + s.length
-	}
-	if err := c.buildInv(); err != nil {
-		return nil, read, fmt.Errorf("%w: %v", ErrContainer, err)
-	}
-	return c, read, nil
-}
-
-// writeV4 emits the version-4 compact container.
-func (c *CompactLabeling) writeV4(w io.Writer) (int64, error) {
-	n, entries, escs := int64(c.n), int64(len(c.hubDelta)), int64(len(c.esc))
-	secs, _ := containerSectionsV4(n, entries, escs, c.wide, c.parents != nil)
-	hdr := buildCompactHeader(n, entries, escs, c.wide, c.parents != nil, secs)
-
-	crc := crc32.New(castagnoli)
-	cw := &countingWriter{w: w}
-	body := io.MultiWriter(cw, crc)
-	if _, err := body.Write(hdr); err != nil {
-		return cw.n, err
-	}
-	var pad [containerAlign]byte
-	pos := int64(len(hdr))
-	secIdx := 0
-	enter := func() (containerSection, []byte) {
-		s := secs[secIdx]
-		secIdx++
-		gap := pad[:s.off-pos]
-		pos = s.off + s.length
-		return s, gap
-	}
-	writeInts := func(col []int32) error {
-		_, gap := enter()
-		if _, err := body.Write(gap); err != nil {
-			return err
-		}
-		return writeColumns(body, [][]int32{col})
-	}
-	writeBytes := func(col []byte) error {
-		_, gap := enter()
-		if _, err := body.Write(gap); err != nil {
-			return err
-		}
-		_, err := body.Write(col)
-		return err
-	}
-	for _, step := range []func() error{
-		func() error { return writeInts(c.offsets) },
-		func() error { return writeInts(c.remap) },
-		func() error { return writeInts(c.escOff) },
-		func() error { return writeBytes(c.hubDelta) },
-		func() error { return writeBytes(c.distDelta) },
-		func() error { return writeInts(c.esc) },
-	} {
-		if err := step(); err != nil {
-			return cw.n, err
-		}
-	}
-	if c.parents != nil {
-		if err := writeInts(c.parents); err != nil {
-			return cw.n, err
-		}
-	}
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc.Sum32())
-	if _, err := cw.Write(trailer[:]); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
-
-// encodeGamma produces the gamma payload straight from the flat arrays, in
-// exactly the stream format of Labeling.Encode (so hub.Decode can also
-// parse it).
-func (f *FlatLabeling) encodeGamma() ([]byte, error) {
-	var w bitio.Writer
-	n := f.NumVertices()
-	if err := w.WriteGamma(uint64(n) + 1); err != nil {
 		return nil, err
 	}
-	for v := 0; v < n; v++ {
-		ids, ds := f.LabelIDs(graph.NodeID(v)), f.LabelDists(graph.NodeID(v))
-		if err := w.WriteGamma(uint64(len(ids)) + 1); err != nil {
+	crc := crc32.New(castagnoli)
+	crc.Write(base[:])
+	body := io.TeeReader(r, crc)
+	var s LabelStore
+	if h.version < versionExpanded {
+		s, err = readLegacy(h, body)
+	} else {
+		s, err = readSections(h, base[:], body)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := checkTrailer(r, crc); err != nil {
+		return nil, err
+	}
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrContainer, err)
+	}
+	return s, nil
+}
+
+// checkTrailer reads the 4-byte trailer off the raw stream and compares
+// it with the crc of every byte teed before it.
+func checkTrailer(r io.Reader, crc hash.Hash32) error {
+	var trailer [4]byte
+	if _, err := io.ReadFull(r, trailer[:]); err != nil {
+		return fmt.Errorf("%w: checksum: %v", ErrContainer, err)
+	}
+	if got, want := crc.Sum32(), binary.LittleEndian.Uint32(trailer[:]); got != want {
+		return fmt.Errorf("%w: checksum mismatch (computed %#x, stored %#x)", ErrContainer, got, want)
+	}
+	return nil
+}
+
+// readSections is the heap section reader: the extended header, then
+// every zero-padded section decoded straight into its destination
+// column — int32s through one reused chunk, never a section-sized
+// staging copy. Structural validation and the trailer stay with the
+// caller.
+func readSections(h containerHeader, base []byte, body io.Reader) (LabelStore, error) {
+	ext, err := readExact(body, h.extLen())
+	if err != nil {
+		return nil, fmt.Errorf("%w: extended header: %v", ErrContainer, err)
+	}
+	l, err := h.parseExt(base, ext)
+	if err != nil {
+		return nil, err
+	}
+	var pad [containerAlign]byte
+	chunk := make([]byte, l.chunkLen())
+	cols := make([]column, len(l.secs))
+	pos := l.headerLen()
+	for i, s := range l.secs {
+		gap := pad[:s.off-pos]
+		if _, err := io.ReadFull(body, gap); err != nil {
+			return nil, fmt.Errorf("%w: section %d padding: %v", ErrContainer, i, err)
+		}
+		if !allZero(gap) {
+			return nil, fmt.Errorf("%w: nonzero padding before section %d", ErrContainer, i)
+		}
+		// Stays in int64 until known to fit the platform int: on 32-bit a
+		// hostile header must error here, not overflow an allocation.
+		if s.length > math.MaxInt-containerHeaderLen {
+			return nil, fmt.Errorf("%w: %d-byte section exceeds address space", ErrContainer, s.length)
+		}
+		if s.raw {
+			cols[i].raw, err = readExact(body, s.length)
+		} else {
+			cols[i].ints, err = readInt32s(body, chunk, s.length/4)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: section %d: %v", ErrContainer, i, err)
+		}
+		pos = s.off + s.length
+	}
+	return l.store(cols), nil
+}
+
+func allZero(b []byte) bool {
+	for _, x := range b {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// readInt32s decodes count little-endian int32s off r through chunk.
+// Like readExact, the up-front reservation is capped and the column then
+// grows only as bytes actually arrive.
+func readInt32s(r io.Reader, chunk []byte, count int64) ([]int32, error) {
+	out := make([]int32, 0, min(count, maxReserveBytes/4))
+	for int64(len(out)) < count {
+		want := min(count-int64(len(out)), int64(len(chunk)/4))
+		buf := chunk[:4*want]
+		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, err
 		}
-		prev := int64(-1)
-		for i, h := range ids {
-			gap := int64(h) - prev
-			if gap <= 0 {
-				return nil, fmt.Errorf("%w: unsorted label", ErrCorrupt)
-			}
-			if err := w.WriteGamma(uint64(gap)); err != nil {
-				return nil, err
-			}
-			if err := w.WriteGamma(uint64(ds[i]) + 1); err != nil {
-				return nil, err
-			}
-			prev = int64(h)
+		old := len(out)
+		out = slices.Grow(out, int(want))[:old+int(want)]
+		for i := range out[old:] {
+			out[old+i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
 		}
 	}
-	return w.Bytes(), nil
-}
-
-// decodeGamma reverses encodeGamma directly into freshly allocated flat
-// arrays sized from the container header — the slice-of-slices form is
-// never built.
-func decodeGamma(stream []byte, n, slots int) (*FlatLabeling, error) {
-	r := bitio.NewReader(stream)
-	nPlus, err := r.ReadGamma()
-	if err != nil {
-		return nil, fmt.Errorf("%w: gamma vertex count: %v", ErrContainer, err)
-	}
-	if nPlus != uint64(n)+1 {
-		return nil, fmt.Errorf("%w: gamma vertex count %d, header says %d", ErrContainer, nPlus-1, n)
-	}
-	f := &FlatLabeling{
-		offsets: make([]int32, n+1),
-		hubIDs:  make([]graph.NodeID, slots),
-		dists:   make([]graph.Weight, slots),
-	}
-	pos := 0
-	for v := 0; v < n; v++ {
-		f.offsets[v] = int32(pos)
-		szPlus, err := r.ReadGamma()
-		if err != nil {
-			return nil, fmt.Errorf("%w: vertex %d size: %v", ErrContainer, v, err)
-		}
-		// szPlus-1 hubs plus one sentinel need szPlus slots. Compare in
-		// uint64: a 2^63-scale size code converted to int first would wrap
-		// pos+sz+1 negative and slip past the bound check.
-		if szPlus > uint64(slots-pos) {
-			return nil, fmt.Errorf("%w: vertex %d overflows %d slots", ErrContainer, v, slots)
-		}
-		sz := int(szPlus - 1)
-		prev := int64(-1)
-		for i := 0; i < sz; i++ {
-			gap, err := r.ReadGamma()
-			if err != nil {
-				return nil, fmt.Errorf("%w: vertex %d hub %d: %v", ErrContainer, v, i, err)
-			}
-			distPlus, err := r.ReadGamma()
-			if err != nil {
-				return nil, fmt.Errorf("%w: vertex %d hub %d: %v", ErrContainer, v, i, err)
-			}
-			// Hub ids increase strictly within [0, n); bound the gap in
-			// uint64 like the size code above — a 2^63-scale gap would
-			// wrap prev negative and the int32 conversion could truncate
-			// it back into a valid id, loading attacker-chosen labels.
-			if gap > uint64(int64(n-1)-prev) || distPlus-1 > uint64(graph.Infinity) {
-				return nil, fmt.Errorf("%w: vertex %d hub %d out of range", ErrContainer, v, i)
-			}
-			prev += int64(gap)
-			f.hubIDs[pos] = graph.NodeID(prev)
-			f.dists[pos] = graph.Weight(distPlus - 1)
-			pos++
-		}
-		f.hubIDs[pos] = flatSentinel
-		f.dists[pos] = graph.Infinity
-		pos++
-	}
-	if pos != slots {
-		return nil, fmt.Errorf("%w: gamma stream fills %d of %d slots", ErrContainer, pos, slots)
-	}
-	f.offsets[n] = int32(pos)
-	return f, nil
-}
-
-// putInt32s stores xs little-endian into buf starting at pos, returning
-// the next write position.
-func putInt32s(buf []byte, pos int, xs []int32) int {
-	for _, x := range xs {
-		binary.LittleEndian.PutUint32(buf[pos:], uint32(x))
-		pos += 4
-	}
-	return pos
-}
-
-// getInt32s decodes count little-endian int32s from buf starting at pos.
-func getInt32s(buf []byte, pos, count int) []int32 {
-	out := make([]int32, count)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(buf[pos:]))
-		pos += 4
-	}
-	return out
+	return out, nil
 }
 
 // readExact reads exactly n bytes. The up-front reservation is capped so
@@ -995,25 +569,22 @@ func getInt32s(buf []byte, pos, count int) []int32 {
 // dry; within the cap the buffer is reserved once, so legitimate
 // containers fill it without growth copies.
 func readExact(r io.Reader, n int64) ([]byte, error) {
-	const (
-		chunk  = 4 << 20
-		maxCap = 64 << 20
-	)
-	cap0 := n
-	if cap0 > maxCap {
-		cap0 = maxCap
-	}
-	buf := make([]byte, 0, cap0)
+	buf := make([]byte, 0, min(n, maxReserveBytes))
 	for int64(len(buf)) < n {
-		want := n - int64(len(buf))
-		if want > chunk {
-			want = chunk
-		}
 		old := len(buf)
-		buf = append(buf, make([]byte, want)...)
+		want := int(min(n-int64(old), ioChunkBytes))
+		buf = slices.Grow(buf, want)[:old+want]
 		if _, err := io.ReadFull(r, buf[old:]); err != nil {
 			return buf[:old], err
 		}
 	}
 	return buf, nil
 }
+
+// ensure the alias types the column casts rely on hold at compile time:
+// the graph ids and weights must be exactly int32 for an []int32 column
+// to be a hub-id or distance column.
+var (
+	_ []int32 = []graph.NodeID(nil)
+	_ []int32 = []graph.Weight(nil)
+)

@@ -3,6 +3,7 @@ package hub
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"testing"
 
@@ -59,71 +60,93 @@ func flatEqual(a, b *FlatLabeling) bool {
 	return true
 }
 
-func TestContainerRoundTripRawAndGamma(t *testing.T) {
-	f := containerFixture(t)
-	for _, tc := range []struct {
-		name string
-		opts ContainerOptions
-	}{
-		{"raw", ContainerOptions{}},
-		{"gamma", ContainerOptions{Compress: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			n, err := f.WriteContainer(&buf, tc.opts)
-			if err != nil {
-				t.Fatalf("WriteContainer: %v", err)
-			}
-			if n != int64(buf.Len()) {
-				t.Errorf("WriteContainer reported %d bytes, wrote %d", n, buf.Len())
-			}
-			got, err := ReadContainer(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("ReadContainer: %v", err)
-			}
-			if !flatEqual(f, got) {
-				t.Fatal("round trip changed the labeling")
-			}
-			if err := got.validate(); err != nil {
-				t.Fatalf("loaded labeling invalid: %v", err)
-			}
-		})
+// readFlat decodes a container of any version to the expanded arrays —
+// what every content comparison in these tests is made on.
+func readFlat(data []byte) (*FlatLabeling, error) {
+	s, err := ReadContainerStore(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
 	}
+	return storeFlat(s), nil
 }
 
+// TestContainerRoundTripRawAndGamma: the fixture round-trips through the
+// writer's default (raw columns, the expanded layout), and the legacy
+// gamma payload — no longer written — still decodes to the labeling it
+// was written from.
+func TestContainerRoundTripRawAndGamma(t *testing.T) {
+	t.Run("raw", func(t *testing.T) {
+		f := containerFixture(t)
+		var buf bytes.Buffer
+		n, err := f.WriteContainer(&buf, ContainerOptions{})
+		if err != nil {
+			t.Fatalf("WriteContainer: %v", err)
+		}
+		if n != int64(buf.Len()) {
+			t.Errorf("WriteContainer reported %d bytes, wrote %d", n, buf.Len())
+		}
+		if v := binary.LittleEndian.Uint16(buf.Bytes()[8:10]); v != versionExpanded {
+			t.Errorf("default options wrote version %d, want %d", v, versionExpanded)
+		}
+		got, err := readFlat(buf.Bytes())
+		if err != nil {
+			t.Fatalf("ReadContainerStore: %v", err)
+		}
+		if !flatEqual(f, got) {
+			t.Fatal("round trip changed the labeling")
+		}
+	})
+	t.Run("gamma", func(t *testing.T) {
+		got, err := readFlat(legacyGolden(t, "v1-gamma"))
+		if err != nil {
+			t.Fatalf("ReadContainerStore: %v", err)
+		}
+		if !flatEqual(goldenTree(t, false), got) {
+			t.Fatal("legacy gamma container decodes to a different labeling")
+		}
+	})
+}
+
+// TestContainerReadFrom pins the stream contract of ReadContainerStore:
+// it reads from r exactly the container and stops at the trailer, so a
+// container embedded in a longer stream leaves the rest unread.
 func TestContainerReadFrom(t *testing.T) {
 	f := containerFixture(t)
-	var buf bytes.Buffer
-	if _, err := f.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	var got FlatLabeling
-	n, err := got.ReadFrom(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadFrom: %v", err)
-	}
-	if n != int64(buf.Len()) {
-		t.Errorf("ReadFrom consumed %d of %d bytes", n, buf.Len())
-	}
-	if !flatEqual(f, &got) {
-		t.Fatal("ReadFrom changed the labeling")
+	for _, compact := range []bool{false, true} {
+		var buf bytes.Buffer
+		if _, err := f.WriteContainer(&buf, ContainerOptions{Compact: compact}); err != nil {
+			t.Fatalf("WriteContainer: %v", err)
+		}
+		r := bytes.NewReader(append(buf.Bytes(), "next"...))
+		s, err := ReadContainerStore(r)
+		if err != nil {
+			t.Fatalf("ReadContainerStore: %v", err)
+		}
+		if r.Len() != len("next") {
+			t.Errorf("compact=%v: reader consumed %d of the container's %d bytes", compact, int(r.Size())-r.Len(), buf.Len())
+		}
+		if !flatEqual(f, storeFlat(s)) {
+			t.Fatal("stream read changed the labeling")
+		}
 	}
 }
 
-// TestContainerGammaMatchesEncode pins the compressed section to the
-// Labeling.Encode stream format: Decode must parse it.
+// TestContainerGammaMatchesEncode pins the legacy compressed section to
+// the Labeling.Encode stream format: the golden file's section is
+// byte-for-byte the fixture's Encode output, and Decode parses it.
 func TestContainerGammaMatchesEncode(t *testing.T) {
-	f := containerFixture(t)
-	stream, err := f.encodeGamma()
-	if err != nil {
-		t.Fatalf("encodeGamma: %v", err)
+	f := goldenTree(t, false)
+	data := legacyGolden(t, "v1-gamma")
+	stream := data[containerHeaderLen+8 : len(data)-4]
+	if got := binary.LittleEndian.Uint64(data[containerHeaderLen:]); got != uint64(len(stream)) {
+		t.Fatalf("gamma section declares %d bytes, file holds %d", got, len(stream))
 	}
 	want, err := f.Thaw().Encode()
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
 	if !bytes.Equal(stream, want) {
-		t.Fatal("encodeGamma differs from Labeling.Encode")
+		t.Fatal("legacy gamma section differs from Labeling.Encode")
 	}
 	dec, err := Decode(stream)
 	if err != nil {
@@ -135,15 +158,15 @@ func TestContainerGammaMatchesEncode(t *testing.T) {
 }
 
 func TestContainerEmptyLabeling(t *testing.T) {
-	for _, compress := range []bool{false, true} {
+	for _, compact := range []bool{false, true} {
 		f := NewLabeling(0).Freeze()
 		var buf bytes.Buffer
-		if _, err := f.WriteContainer(&buf, ContainerOptions{Compress: compress}); err != nil {
-			t.Fatalf("WriteContainer(empty, compress=%v): %v", compress, err)
+		if _, err := f.WriteContainer(&buf, ContainerOptions{Compact: compact}); err != nil {
+			t.Fatalf("WriteContainer(empty, compact=%v): %v", compact, err)
 		}
-		got, err := ReadContainer(bytes.NewReader(buf.Bytes()))
+		got, err := ReadContainerStore(bytes.NewReader(buf.Bytes()))
 		if err != nil {
-			t.Fatalf("ReadContainer(empty, compress=%v): %v", compress, err)
+			t.Fatalf("ReadContainerStore(empty, compact=%v): %v", compact, err)
 		}
 		if got.NumVertices() != 0 {
 			t.Fatalf("empty round trip has %d vertices", got.NumVertices())
@@ -153,15 +176,13 @@ func TestContainerEmptyLabeling(t *testing.T) {
 
 // TestContainerCorruption flips, truncates and rewrites containers; every
 // mutation must surface as an error wrapping ErrContainer — never a panic,
-// never a silently wrong labeling.
+// never a silently wrong labeling. The corpus is one container per
+// decoder: legacy raw and gamma (golden files), expanded and compact.
 func TestContainerCorruption(t *testing.T) {
 	f := containerFixture(t)
-	for _, compress := range []bool{false, true} {
-		var buf bytes.Buffer
-		if _, err := f.WriteContainer(&buf, ContainerOptions{Compress: compress}); err != nil {
-			t.Fatalf("WriteContainer: %v", err)
-		}
-		data := buf.Bytes()
+	for _, data := range [][]byte{
+		legacyGolden(t, "v1"), legacyGolden(t, "v1-gamma"), alignedBytes(t, f), compactBytes(t, f),
+	} {
 		mutations := []struct {
 			name   string
 			mutate func([]byte) []byte
@@ -180,12 +201,13 @@ func TestContainerCorruption(t *testing.T) {
 		}
 		for _, m := range mutations {
 			t.Run(m.name, func(t *testing.T) {
-				cp := append([]byte(nil), data...)
-				cp = m.mutate(cp)
-				got, err := ReadContainer(bytes.NewReader(cp))
+				cp := m.mutate(append([]byte(nil), data...))
+				got, err := ReadContainerStore(bytes.NewReader(cp))
 				if err == nil {
-					t.Fatalf("compress=%v: corrupt container accepted (got %d vertices)",
-						compress, got.NumVertices())
+					t.Fatalf("version %d: corrupt container accepted (got %d vertices)", data[8], got.NumVertices())
+				}
+				if !errors.Is(err, ErrContainer) {
+					t.Fatalf("version %d: error %v does not wrap ErrContainer", data[8], err)
 				}
 			})
 		}
@@ -195,38 +217,36 @@ func TestContainerCorruption(t *testing.T) {
 // TestContainerRejectsInvalidArrays writes containers whose checksums are
 // valid but whose arrays violate the flat invariants — a hostile writer
 // can always produce a matching CRC, so validation has to catch these.
+// Each forgery is made twice: through the writer (expanded layout) and
+// by patching the raw legacy golden, so both decoders face it. Slots
+// refer to goldenTree: vertex 1 owns [2,5) — hub 0, hub 1, sentinel.
 func TestContainerRejectsInvalidArrays(t *testing.T) {
-	mutations := []struct {
-		name   string
-		mutate func(f *FlatLabeling)
+	for _, m := range []struct {
+		name    string
+		patches []slotPatch
 	}{
-		{"negative distance", func(f *FlatLabeling) { f.dists[1] = -5 }},
-		{"distance above infinity", func(f *FlatLabeling) { f.dists[1] = graph.Infinity + 1 }},
-		{"sentinel id in label body", func(f *FlatLabeling) { f.hubIDs[2] = flatSentinel }},
-		{"negative hub id", func(f *FlatLabeling) { f.hubIDs[0] = -1 }},
+		{"negative distance", []slotPatch{{"dists", 2, -5}}},
+		{"distance above infinity", []slotPatch{{"dists", 2, int32(graph.Infinity) + 1}}},
+		{"sentinel id in label body", []slotPatch{{"hubIDs", 2, int32(flatSentinel)}}},
+		{"negative hub id", []slotPatch{{"hubIDs", 2, -1}}},
 		// Sorted after hub 0 and below the sentinel, so only the [0, n)
 		// bound catches it.
-		{"hub id beyond vertex count", func(f *FlatLabeling) { f.hubIDs[1] = 100 }},
-		{"unsorted label", func(f *FlatLabeling) { f.hubIDs[0], f.hubIDs[1] = f.hubIDs[1], f.hubIDs[0] }},
-		{"non-infinite sentinel distance", func(f *FlatLabeling) {
-			f.dists[f.offsets[1]-1] = 7
-		}},
-	}
-	for _, m := range mutations {
+		{"hub id beyond vertex count", []slotPatch{{"hubIDs", 3, 100}}},
+		{"unsorted label", []slotPatch{{"hubIDs", 2, 1}, {"hubIDs", 3, 0}}},
+		{"non-infinite sentinel distance", []slotPatch{{"dists", 4, 7}}},
+	} {
 		t.Run(m.name, func(t *testing.T) {
-			f := containerFixture(t)
-			cp := &FlatLabeling{
-				offsets: append([]int32(nil), f.offsets...),
-				hubIDs:  append([]graph.NodeID(nil), f.hubIDs...),
-				dists:   append([]graph.Weight(nil), f.dists...),
+			forged := goldenTree(t, false)
+			legacy := legacyGolden(t, "v1")
+			for _, p := range m.patches {
+				p.apply(forged)
+				p.applyLegacyRaw(legacy)
 			}
-			m.mutate(cp)
-			var buf bytes.Buffer
-			if _, err := cp.WriteContainer(&buf, ContainerOptions{}); err != nil {
-				t.Fatalf("WriteContainer: %v", err)
+			if _, err := readFlat(alignedBytes(t, forged)); err == nil {
+				t.Fatal("structurally invalid expanded container accepted")
 			}
-			if _, err := ReadContainer(bytes.NewReader(buf.Bytes())); err == nil {
-				t.Fatal("structurally invalid container accepted")
+			if _, err := readFlat(refreshCRC(legacy)); err == nil {
+				t.Fatal("structurally invalid legacy container accepted")
 			}
 		})
 	}
@@ -249,7 +269,7 @@ func craftGammaContainer(t testing.TB, n, slots uint64, values []uint64) []byte 
 	var buf bytes.Buffer
 	var header [containerHeaderLen]byte
 	copy(header[0:8], containerMagic[:])
-	binary.LittleEndian.PutUint16(header[8:10], ContainerVersion)
+	binary.LittleEndian.PutUint16(header[8:10], 1)
 	binary.LittleEndian.PutUint16(header[10:12], containerFlagGamma)
 	binary.LittleEndian.PutUint64(header[16:24], n)
 	binary.LittleEndian.PutUint64(header[24:32], slots)
@@ -290,14 +310,19 @@ func gammaGapOverflowContainer(t testing.TB) []byte {
 }
 
 // TestContainerGammaOverflowCodes pins the hostile streams above to clean
-// errors: ReadContainer must reject them — never index out of range, and
-// never a successfully loaded forged labeling.
+// errors: the reader must reject them — never index out of range, and
+// never a successfully loaded forged labeling. The crafted header itself
+// is a well-formed legacy one, so it is the decoder's bound checks (not
+// the header parser) doing the rejecting.
 func TestContainerGammaOverflowCodes(t *testing.T) {
 	for name, data := range map[string][]byte{
 		"size code 2^63": gammaSizeOverflowContainer(t),
 		"gap wraps prev": gammaGapOverflowContainer(t),
 	} {
-		if _, err := ReadContainer(bytes.NewReader(data)); err == nil {
+		if _, err := parseContainerHeader(data[:containerHeaderLen]); err != nil {
+			t.Fatalf("%s: crafted header never reaches the gamma decoder: %v", name, err)
+		}
+		if _, err := readFlat(data); err == nil {
 			t.Errorf("%s: hostile container accepted", name)
 		}
 	}
@@ -307,30 +332,22 @@ func TestContainerGammaOverflowCodes(t *testing.T) {
 // acceptable outcomes are a clean error or a labeling that passes
 // validation.
 func FuzzReadContainer(f *testing.F) {
-	fixture := containerFixture(f)
-	for _, compress := range []bool{false, true} {
-		var buf bytes.Buffer
-		if _, err := fixture.WriteContainer(&buf, ContainerOptions{Compress: compress}); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		f.Add(buf.Bytes()[:buf.Len()/2])
+	for _, name := range []string{"v1", "v1-gamma"} {
+		data := legacyGolden(f, name)
+		f.Add(data)
+		f.Add(data[:len(data)/2])
 	}
 	f.Add([]byte("HUBLABIX"))
 	f.Add([]byte{})
 	f.Add(gammaSizeOverflowContainer(f))
 	f.Add(gammaGapOverflowContainer(f))
 	// Version-2 seeds: parent column present, whole and truncated.
-	_, withParents := parentFixture(f)
-	for _, compress := range []bool{false, true} {
-		var buf bytes.Buffer
-		if _, err := withParents.WriteContainer(&buf, ContainerOptions{Compress: compress}); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-		f.Add(buf.Bytes()[:buf.Len()-8])
+	for _, name := range []string{"v2", "v2-gamma"} {
+		data := legacyGolden(f, name)
+		f.Add(data)
+		f.Add(data[:len(data)-8])
 	}
-	// Version-3 seeds: the aligned layout, whole and hostile.
+	// Version-3 seeds: the expanded layout, whole and hostile.
 	for _, seed := range hostileV3Seeds(f) {
 		f.Add(seed)
 	}
@@ -339,23 +356,15 @@ func FuzzReadContainer(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadContainer(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := got.validate(); err != nil {
-			t.Fatalf("accepted container fails validation: %v", err)
-		}
-		// The store-preserving door must agree on acceptance and content.
 		s, err := ReadContainerStore(bytes.NewReader(data))
 		if err != nil {
-			t.Fatalf("ReadContainer accepted what ReadContainerStore rejects: %v", err)
+			return
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("accepted store fails validation: %v", err)
 		}
-		if !flatEqual(storeFlat(s), got) {
-			t.Fatal("the two decode doors disagree on the same bytes")
+		if err := storeFlat(s).validate(); err != nil {
+			t.Fatalf("accepted container expands to an invalid labeling: %v", err)
 		}
 	})
 }

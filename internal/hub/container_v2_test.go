@@ -1,10 +1,9 @@
 package hub
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
+	"slices"
 	"testing"
 
 	"hublab/internal/graph"
@@ -34,68 +33,56 @@ func parentFixture(t testing.TB) (*graph.Graph, *FlatLabeling) {
 	return g, f
 }
 
-// TestContainerParentsRoundTrip round-trips the parent column through both
-// payload kinds and checks paths unpack identically after the reload.
+// TestContainerParentsRoundTrip: the legacy version-2 containers, raw and
+// gamma, still load with their parent column intact, and paths unpack
+// after the load exactly as on the labeling they were written from.
 func TestContainerParentsRoundTrip(t *testing.T) {
-	_, f := parentFixture(t)
-	for _, tc := range []struct {
-		name string
-		opts ContainerOptions
-	}{
-		{"raw", ContainerOptions{}},
-		{"gamma", ContainerOptions{Compress: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if _, err := f.WriteContainer(&buf, tc.opts); err != nil {
-				t.Fatalf("WriteContainer: %v", err)
+	f := goldenTree(t, true)
+	for name, file := range map[string]string{"raw": "v2", "gamma": "v2-gamma"} {
+		t.Run(name, func(t *testing.T) {
+			data := legacyGolden(t, file)
+			if v := binary.LittleEndian.Uint16(data[8:10]); v != 2 {
+				t.Fatalf("golden %s has version %d, want 2", file, v)
 			}
-			if v := binary.LittleEndian.Uint16(buf.Bytes()[8:10]); v != 2 {
-				t.Fatalf("container with parents has version %d, want 2", v)
-			}
-			got, err := ReadContainer(bytes.NewReader(buf.Bytes()))
+			got, err := readFlat(data)
 			if err != nil {
-				t.Fatalf("ReadContainer: %v", err)
+				t.Fatalf("ReadContainerStore: %v", err)
 			}
 			if !got.HasParents() {
-				t.Fatal("parent column lost in round trip")
+				t.Fatal("parent column lost in the load")
 			}
 			if !flatEqual(f, got) {
-				t.Fatal("round trip changed the labeling")
+				t.Fatal("legacy container decodes to a different labeling")
 			}
-			for i := range f.parents {
-				if f.parents[i] != got.parents[i] {
-					t.Fatalf("parent slot %d: %d vs %d", i, f.parents[i], got.parents[i])
-				}
+			if !slices.Equal(f.parents, got.parents) {
+				t.Fatal("parent column differs after the load")
 			}
 			want, err1 := f.Path(1, 5)
 			back, err2 := got.Path(1, 5)
-			if err1 != nil || err2 != nil || len(want) != 3 || len(back) != 3 {
+			if err1 != nil || err2 != nil || len(want) != 4 || !slices.Equal(want, back) {
 				t.Fatalf("paths diverge after reload: %v/%v vs %v/%v", want, err1, back, err2)
 			}
 		})
 	}
 }
 
-// TestContainerV1ReadByV2Code: a labeling without parents writes the
-// historical version-1 bytes, loads cleanly, and Path reports the
-// documented ErrNoParents.
+// TestContainerV1ReadByV2Code: a legacy version-1 container (no parent
+// column) loads cleanly, and Path reports the documented ErrNoParents.
 func TestContainerV1ReadByV2Code(t *testing.T) {
-	f := containerFixture(t) // Add-built: no parent column
-	for _, compress := range []bool{false, true} {
-		var buf bytes.Buffer
-		if _, err := f.WriteContainer(&buf, ContainerOptions{Compress: compress}); err != nil {
-			t.Fatal(err)
+	for _, file := range []string{"v1", "v1-gamma"} {
+		data := legacyGolden(t, file)
+		if v := binary.LittleEndian.Uint16(data[8:10]); v != 1 {
+			t.Fatalf("golden %s has version %d, want 1", file, v)
 		}
-		if v := binary.LittleEndian.Uint16(buf.Bytes()[8:10]); v != 1 {
-			t.Fatalf("parentless container has version %d, want 1 (compress=%v)", v, compress)
-		}
-		got, err := ReadContainer(bytes.NewReader(buf.Bytes()))
+		got, err := readFlat(data)
 		if err != nil {
-			t.Fatalf("ReadContainer(v1, compress=%v): %v", compress, err)
+			t.Fatalf("ReadContainerStore(%s): %v", file, err)
 		}
 		if got.HasParents() {
 			t.Fatal("v1 container grew a parent column")
+		}
+		if !flatEqual(goldenTree(t, false), got) {
+			t.Fatalf("%s decodes to a different labeling", file)
 		}
 		if _, err := got.Path(0, 3); !errors.Is(err, ErrNoParents) {
 			t.Errorf("Path on v1 load = %v, want ErrNoParents", err)
@@ -103,59 +90,34 @@ func TestContainerV1ReadByV2Code(t *testing.T) {
 	}
 }
 
-// rewriteContainer re-serializes a (possibly invalid) flat labeling with a
-// freshly computed, valid checksum — the hostile-writer scenario where
-// only structural validation stands between the bytes and the query path.
-func rewriteContainer(t testing.TB, f *FlatLabeling, opts ContainerOptions) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := f.WriteContainer(&buf, opts); err != nil {
-		t.Fatalf("WriteContainer: %v", err)
-	}
-	return buf.Bytes()
-}
-
 // TestContainerRejectsInvalidParents: checksum-valid containers whose
-// parent column violates the invariants must be rejected, not served.
+// parent column violates the invariants must be rejected, not served —
+// by the expanded decoder (forged through the writer) and by the legacy
+// one (the raw golden patched in place). Slots refer to goldenTree:
+// vertex 1 owns [2,5) — hub 0 (hop 0), its self entry, its sentinel.
 func TestContainerRejectsInvalidParents(t *testing.T) {
-	mutations := []struct {
-		name   string
-		mutate func(f *FlatLabeling)
+	for _, m := range []struct {
+		name  string
+		patch slotPatch
 	}{
-		{"parent out of range", func(f *FlatLabeling) { f.parents[1] = 100 }},
-		{"parent below -1", func(f *FlatLabeling) { f.parents[1] = -7 }},
-		{"self entry with parent", func(f *FlatLabeling) {
-			// Slot offsets[1] is vertex 1's self entry (hub 0 sorts first
-			// only for vertex 0); locate the self entry of vertex 2.
-			for i := f.offsets[2]; i < f.offsets[3]-1; i++ {
-				if f.hubIDs[i] == 2 {
-					f.parents[i] = 0
-				}
-			}
-		}},
-		{"hop to itself", func(f *FlatLabeling) {
-			// A non-self entry whose stored hop is the vertex itself would
-			// loop the unpacking walk forever.
-			for i := f.offsets[1]; i < f.offsets[2]-1; i++ {
-				if f.hubIDs[i] != 1 {
-					f.parents[i] = 1
-				}
-			}
-		}},
-		{"parent on sentinel slot", func(f *FlatLabeling) { f.parents[f.offsets[1]-1] = 3 }},
-	}
-	for _, m := range mutations {
+		{"parent out of range", slotPatch{"parents", 2, 100}},
+		{"parent below -1", slotPatch{"parents", 2, -7}},
+		{"self entry with parent", slotPatch{"parents", 3, 0}},
+		// A non-self entry whose stored hop is the vertex itself would
+		// loop the unpacking walk forever.
+		{"hop to itself", slotPatch{"parents", 2, 1}},
+		{"parent on sentinel slot", slotPatch{"parents", 4, 3}},
+	} {
 		t.Run(m.name, func(t *testing.T) {
-			_, f := parentFixture(t)
-			cp := &FlatLabeling{
-				offsets: append([]int32(nil), f.offsets...),
-				hubIDs:  append([]graph.NodeID(nil), f.hubIDs...),
-				dists:   append([]graph.Weight(nil), f.dists...),
-				parents: append([]graph.NodeID(nil), f.parents...),
+			forged := goldenTree(t, true)
+			m.patch.apply(forged)
+			if _, err := readFlat(alignedBytes(t, forged)); err == nil {
+				t.Fatal("expanded container with invalid parent column accepted")
 			}
-			m.mutate(cp)
-			if _, err := ReadContainer(bytes.NewReader(rewriteContainer(t, cp, ContainerOptions{}))); err == nil {
-				t.Fatal("container with invalid parent column accepted")
+			legacy := legacyGolden(t, "v2")
+			m.patch.applyLegacyRaw(legacy)
+			if _, err := readFlat(refreshCRC(legacy)); err == nil {
+				t.Fatal("legacy container with invalid parent column accepted")
 			}
 		})
 	}
@@ -164,13 +126,12 @@ func TestContainerRejectsInvalidParents(t *testing.T) {
 // TestContainerParentsTruncated: cutting the stream inside or right before
 // the parent column must error, never load a half-filled column.
 func TestContainerParentsTruncated(t *testing.T) {
-	_, f := parentFixture(t)
-	for _, compress := range []bool{false, true} {
-		data := rewriteContainer(t, f, ContainerOptions{Compress: compress})
+	f := goldenTree(t, true)
+	for _, data := range [][]byte{legacyGolden(t, "v2"), legacyGolden(t, "v2-gamma"), alignedBytes(t, f)} {
 		for _, cut := range []int{4, 1 + 4*len(f.parents)/2, 4 * len(f.parents)} {
 			trunc := data[:len(data)-4-cut] // drop the trailer and cut into parents
-			if _, err := ReadContainer(bytes.NewReader(trunc)); err == nil {
-				t.Fatalf("compress=%v cut=%d: truncated parent column accepted", compress, cut)
+			if _, err := readFlat(trunc); err == nil {
+				t.Fatalf("version %d cut=%d: truncated parent column accepted", data[8], cut)
 			}
 		}
 	}
@@ -179,13 +140,10 @@ func TestContainerParentsTruncated(t *testing.T) {
 // TestContainerParentsFlagWithoutVersion2: flag bit 1 on a version-1
 // header must be rejected — v1 readers never defined it.
 func TestContainerParentsFlagWithoutVersion2(t *testing.T) {
-	_, f := parentFixture(t)
-	data := rewriteContainer(t, f, ContainerOptions{})
+	data := legacyGolden(t, "v2")
 	data[8] = 1 // version 2 → 1, parents flag now unknown
 	// Fix the checksum so only the flag check can reject.
-	crc := crc32.Checksum(data[:len(data)-4], castagnoli)
-	binary.LittleEndian.PutUint32(data[len(data)-4:], crc)
-	if _, err := ReadContainer(bytes.NewReader(data)); err == nil {
+	if _, err := readFlat(refreshCRC(data)); err == nil {
 		t.Fatal("version-1 container with parents flag accepted")
 	}
 }

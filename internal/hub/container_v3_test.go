@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,11 +15,12 @@ import (
 	"hublab/internal/mmapio"
 )
 
-// alignedBytes serializes f as a version-3 container.
+// alignedBytes serializes f in the expanded (version-3) layout — what the
+// zero-value options write.
 func alignedBytes(t testing.TB, f *FlatLabeling) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := f.WriteContainer(&buf, ContainerOptions{Aligned: true}); err != nil {
+	if _, err := f.WriteContainer(&buf, ContainerOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -42,24 +44,19 @@ func refreshHeaderCRC(data []byte) []byte {
 	return data
 }
 
-// openBytes runs the mmap open path over an in-memory buffer (the heap
-// Mapping exercises byte-for-byte the same parsing and casting code as a
-// file mapping).
+// openBytes runs the mmap open path over an in-memory expanded container
+// (the heap Mapping exercises byte-for-byte the same parsing and casting
+// code as a file mapping).
 func openBytes(data []byte) (*FlatLabeling, error) {
 	s, err := openStoreBytes(data)
 	if err != nil {
 		return nil, err
 	}
-	if c, ok := s.(*CompactLabeling); ok {
-		f := c.Expand()
-		c.Release()
-		return f, nil
-	}
 	return s.(*FlatLabeling), nil
 }
 
-// openStoreBytes is openBytes without the expansion: the store comes
-// back in the container's native representation.
+// openStoreBytes is openBytes for either layout: the store comes back in
+// the container's native representation.
 func openStoreBytes(data []byte) (LabelStore, error) {
 	m := mmapio.FromBytes(data)
 	s, err := openStore(m)
@@ -67,6 +64,16 @@ func openStoreBytes(data []byte) (LabelStore, error) {
 		m.Close()
 	}
 	return s, err
+}
+
+// openFlatFile opens path through the file-mapping door as the expanded
+// representation (what version ≤ 3 files always come back as).
+func openFlatFile(path string) (*FlatLabeling, error) {
+	s, err := OpenStoreMmap(path)
+	if err != nil {
+		return nil, err
+	}
+	return s.(*FlatLabeling), nil
 }
 
 // writeTemp drops data into a fresh temp file and returns its path.
@@ -112,17 +119,17 @@ func TestAlignedRoundTrip(t *testing.T) {
 				}
 			}
 
-			dec, err := ReadContainer(bytes.NewReader(data))
+			dec, err := readFlat(data)
 			if err != nil {
-				t.Fatalf("ReadContainer(v3): %v", err)
+				t.Fatalf("ReadContainerStore(v3): %v", err)
 			}
 			if !flatEqual(dec, tc.f) || dec.HasParents() != tc.f.HasParents() {
 				t.Fatal("decoded v3 container differs from the original")
 			}
 
-			view, err := OpenContainerMmap(writeTemp(t, data))
+			view, err := openFlatFile(writeTemp(t, data))
 			if err != nil {
-				t.Fatalf("OpenContainerMmap: %v", err)
+				t.Fatalf("OpenStoreMmap: %v", err)
 			}
 			defer view.Release()
 			if tc.f.NumVertices() > 0 && view.Owned() {
@@ -138,44 +145,30 @@ func TestAlignedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAlignedRejectsCompress pins that the two payload styles cannot be
-// combined: gamma bits cannot be pointed at zero-copy.
-func TestAlignedRejectsCompress(t *testing.T) {
-	var buf bytes.Buffer
-	_, err := containerFixture(t).WriteContainer(&buf, ContainerOptions{Aligned: true, Compress: true})
-	if err == nil {
-		t.Fatal("Aligned+Compress accepted")
-	}
-}
-
-// TestOpenContainerMmapFallback: version-1/2 and gamma containers have
-// no alignment to point at, so the mmap door falls back to a decoded,
-// owned load with identical content.
+// TestOpenContainerMmapFallback: legacy version-1/2 containers, raw or
+// gamma, have no alignment to point at, so the mmap door falls back to a
+// decoded, owned load with identical content.
 func TestOpenContainerMmapFallback(t *testing.T) {
-	_, withParents := parentFixture(t)
-	for _, tc := range []struct {
-		name string
-		f    *FlatLabeling
-		opts ContainerOptions
+	for name, tc := range map[string]struct {
+		file    string
+		parents bool
 	}{
-		{"v1-raw", containerFixture(t), ContainerOptions{}},
-		{"v1-gamma", containerFixture(t), ContainerOptions{Compress: true}},
-		{"v2-parents", withParents, ContainerOptions{}},
+		"v1-raw":     {"v1", false},
+		"v1-gamma":   {"v1-gamma", false},
+		"v2-parents": {"v2", true},
+		"v2-gamma":   {"v2-gamma", true},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if _, err := tc.f.WriteContainer(&buf, tc.opts); err != nil {
-				t.Fatal(err)
-			}
-			got, err := OpenContainerMmap(writeTemp(t, buf.Bytes()))
+		t.Run(name, func(t *testing.T) {
+			want := goldenTree(t, tc.parents)
+			got, err := openFlatFile(filepath.Join("testdata", "legacy", tc.file+".hli"))
 			if err != nil {
-				t.Fatalf("OpenContainerMmap fallback: %v", err)
+				t.Fatalf("OpenStoreMmap fallback: %v", err)
 			}
 			if !got.Owned() {
-				t.Fatal("old-format open returned a view")
+				t.Fatal("legacy open returned a view")
 			}
-			if !flatEqual(got, tc.f) || got.HasParents() != tc.f.HasParents() {
-				t.Fatal("fallback load differs from the original")
+			if !flatEqual(got, want) || !slices.Equal(got.parents, want.parents) {
+				t.Fatal("fallback load differs from the labeling the file was written from")
 			}
 		})
 	}
@@ -282,13 +275,13 @@ func TestOpenContainerMmapHostile(t *testing.T) {
 			// The streaming decoder must reject the same bytes (except the
 			// documented mmap-only strictness cases).
 			if !strings.Contains(tc.name, "mmap-only") {
-				if _, err := ReadContainer(bytes.NewReader(data)); err == nil {
-					t.Fatal("ReadContainer accepted the hostile container")
+				if _, err := ReadContainerStore(bytes.NewReader(data)); err == nil {
+					t.Fatal("ReadContainerStore accepted the hostile container")
 				}
 			}
 			// And the file-based door agrees with the bytes-based one.
-			if _, err := OpenContainerMmap(writeTemp(t, data)); err == nil {
-				t.Fatal("OpenContainerMmap accepted the hostile container")
+			if _, err := OpenStoreMmap(writeTemp(t, data)); err == nil {
+				t.Fatal("OpenStoreMmap accepted the hostile container")
 			}
 		})
 	}
@@ -310,7 +303,7 @@ func TestMmapQuickValidationTrustModel(t *testing.T) {
 	binary.LittleEndian.PutUint32(data[parOff:], uint32(1<<20))
 	refreshCRC(data)
 
-	if _, err := ReadContainer(bytes.NewReader(data)); err == nil {
+	if _, err := ReadContainerStore(bytes.NewReader(data)); err == nil {
 		t.Fatal("decoding reader accepted forged interior entries")
 	}
 	f, err := openBytes(data)
@@ -352,7 +345,7 @@ func TestMmapQuickValidationTrustModel(t *testing.T) {
 	stale := alignedBytes(t, fixture)
 	staleIDOff := binary.LittleEndian.Uint64(stale[40+16:])
 	stale[staleIDOff+3] ^= 0x80 // sign bit of the first interior hub id
-	if _, err := ReadContainer(bytes.NewReader(stale)); err == nil {
+	if _, err := ReadContainerStore(bytes.NewReader(stale)); err == nil {
 		t.Fatal("decoder accepted a stale trailer checksum")
 	}
 	sf, err := openBytes(stale)
@@ -379,7 +372,7 @@ func TestViewOwnership(t *testing.T) {
 		t.Fatalf("owned Release: %v", err)
 	}
 
-	view, err := OpenContainerMmap(writeTemp(t, alignedBytes(t, fixture)))
+	view, err := openFlatFile(writeTemp(t, alignedBytes(t, fixture)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +414,7 @@ func TestViewThawAndComputeParentsNeverWriteMapping(t *testing.T) {
 	path := writeTemp(t, data)
 	before := append([]byte(nil), data...)
 
-	view, err := OpenContainerMmap(path)
+	view, err := openFlatFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,21 +499,4 @@ func TestFlatComputeParentsOwned(t *testing.T) {
 	if wrong.HasParents() {
 		t.Fatal("failed ComputeParents left a parent column behind")
 	}
-}
-
-// TestReadFromViewPanics pins the documented mutation guard: loading a
-// container into a view-backed struct would orphan the mapping, so it
-// panics rather than leak.
-func TestReadFromViewPanics(t *testing.T) {
-	view, err := OpenContainerMmap(writeTemp(t, alignedBytes(t, containerFixture(t))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer view.Release()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ReadFrom into a view did not panic")
-		}
-	}()
-	view.ReadFrom(bytes.NewReader(nil))
 }

@@ -32,12 +32,12 @@ const flatSentinel = graph.NodeID(math.MaxInt32)
 //
 // A FlatLabeling is either owned — its arrays live on the Go heap — or a
 // view, whose arrays point directly into a memory-mapped container (see
-// OpenContainerMmap). Views answer queries identically but add a
+// OpenStoreMmap). Views answer queries identically but add a
 // lifetime contract: Release must not run before the last query on the
 // view finishes, Thaw always deep-copies (the mutable form never aliases
-// the mapping), and the in-place mutations owned labelings allow
-// (ComputeParents, ReadFrom) are refused — copy-on-write via CopyOwned
-// instead. See Owned, Release.
+// the mapping), and the in-place mutation owned labelings allow
+// (ComputeParents) is refused — copy-on-write via CopyOwned instead. See
+// Owned, Release.
 type FlatLabeling struct {
 	offsets []int32        // len n+1; label of v occupies [offsets[v], offsets[v+1]-1), sentinel at offsets[v+1]-1
 	hubIDs  []graph.NodeID // len Total + n, sentinel-terminated runs
@@ -192,7 +192,7 @@ func (f *FlatLabeling) HasParents() bool { return f.parents != nil }
 
 // ComputeParents attaches a parent column in place by one shortest-path
 // search per distinct hub — the retrofit for labelings loaded from
-// parentless (version-1) containers, without a Thaw round-trip through
+// parentless containers, without a Thaw round-trip through
 // the mutable form. The stored distances must be the exact graph
 // distances; a mismatch is reported and leaves f unchanged.
 //
@@ -637,11 +637,11 @@ func (s *hubParentSorter) Swap(i, j int) {
 }
 
 // validate asserts the full structural invariants of the flat arrays. It
-// must stay fully defensive — ReadContainer runs it on untrusted input
+// must stay fully defensive — ReadContainerStore runs it on untrusted input
 // after the checksum passes, so every index derived from the data is
 // bounds-checked before use. It is validateRuns plus validateEntries;
 // the split exists for the mmap open path, which runs only the O(n) run
-// checks (see OpenContainerMmap for why that suffices for memory
+// checks (see OpenStoreMmap for why that suffices for memory
 // safety) and leaves the O(slots) entry scan to Validate callers.
 func (f *FlatLabeling) validate() error {
 	if err := f.validateRuns(); err != nil {
@@ -677,7 +677,7 @@ func (f *FlatLabeling) Validate() error { return f.validate() }
 //     validateEntries.
 //
 // Hostile interiors past these checks can only produce wrong answers
-// (the quick-open trust model, see OpenContainerMmap), never an
+// (the quick-open trust model, see OpenStoreMmap), never an
 // out-of-bounds access.
 func (f *FlatLabeling) validateOffsets() error {
 	n := f.NumVertices()

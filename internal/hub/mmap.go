@@ -4,20 +4,19 @@ import (
 	"bytes"
 	"fmt"
 
-	"hublab/internal/graph"
 	"hublab/internal/mmapio"
 )
 
-// OpenContainerMmap opens a container file as a memory-mapped
-// FlatLabeling. For version-3 (aligned) raw containers the load is
-// zero-copy: after the header, checksum and run-structure checks pass,
-// the CSR columns are typed views of the mapped region — no decode, no
-// second copy of the index in anonymous memory, and the kernel page
-// cache shares the physical pages between every process serving the same
-// file. Version-1/2 and gamma containers have no alignment guarantees to
-// point at, so they fall back to the ordinary decoded load and return an
-// owned labeling; callers can branch on Owned() when the distinction
-// matters.
+// OpenStoreMmap opens a container file as a memory-mapped LabelStore in
+// its native representation: an expanded file as a zero-copy
+// *FlatLabeling, a compact file as a zero-copy *CompactLabeling. After
+// the header, checksum and run-structure checks pass, the columns are
+// typed views of the mapped region — no decode, no second copy of the
+// index in anonymous memory, and the kernel page cache shares the
+// physical pages between every process serving the same file. Legacy
+// (version 1–2) files have no alignment guarantees to point at, so they
+// fall back to the ordinary decoded load and return an owned labeling;
+// callers can branch on Owned() when the distinction matters.
 //
 // The returned view is immutable shared memory with an explicit
 // lifetime: Release unmaps it, and must not run before the last query
@@ -29,55 +28,27 @@ import (
 // Validation and the trust model: open verifies the header and its
 // crc32 (which covers the section table, so the layout is
 // authenticated), the canonical section placement (alignment, exact
-// lengths, zero padding, exact file size) and the offsets-column
-// invariants — everything it reads is O(n) metadata; the label columns
-// themselves are never streamed through the CPU, which is what makes
-// open O(1) in the index size and lets first-touch cost land lazily on
-// the queries that actually fault each page in. The trade, relative to
-// the decoding reader: the whole-file trailer crc32 and the interior
-// entries are not audited at open. That is sound because every query
-// path is memory-safe without interior trust — the merge cursors cannot
-// escape the validated offsets cover (see validateOffsets for the
-// termination argument), path unpacking bounds-checks each stored hop
-// and answers ErrPathUnpack on escape, and the eccentricity index skips
-// out-of-range ids. A corrupted or forged file can therefore produce
-// wrong answers but never a panic or an out-of-map read; use index.Load
-// (which audits everything including the trailer checksum) or run
-// Validate when loading files of unknown provenance, and hubserve
-// -selfcheck to spot-check served answers against the graph.
-//
-// Version-4 (compact) containers get the same treatment through
-// OpenStoreMmap; OpenContainerMmap itself expands them into an owned
-// FlatLabeling, trading the compression away for the historical return
-// type.
-func OpenContainerMmap(path string) (*FlatLabeling, error) {
-	s, err := OpenStoreMmap(path)
-	if err != nil {
-		return nil, err
-	}
-	if c, ok := s.(*CompactLabeling); ok {
-		f := c.Expand()
-		if err := c.Release(); err != nil {
-			return nil, err
-		}
-		return f, nil
-	}
-	return s.(*FlatLabeling), nil
-}
-
-// OpenStoreMmap opens a container file as a memory-mapped LabelStore in
-// its native representation: version-3 files as a zero-copy
-// *FlatLabeling and version-4 files as a zero-copy *CompactLabeling
-// (version-1/2 and gamma files fall back to an owned decode, exactly as
-// OpenContainerMmap documents). The version-4 quick-open budget matches
-// version 3 — O(n) metadata, never the label columns — with one
-// addition: the remap table is verified to be a permutation (and its
-// inverse heap-built) before the store is returned, which is what keeps
-// every rank-to-id and id-to-rank lookup in-bounds on forged interiors.
-// Escape-slot reads are bounds-checked in the kernels instead, so
-// hostile delta or escape data degrades to wrong answers, never to an
-// out-of-map access. Lifetime and rename discipline are identical to
-// OpenContainerMmap.
+// lengths, zero padding, exact file size) and the O(n) structural
+// invariants every query path's memory safety rests on — the offsets
+// cover of an expanded store (validateOffsets); the entry and escape
+// CSRs of a compact one plus its remap table being a permutation, with
+// the inverse heap-built (validateQuick). Everything it reads is O(n)
+// metadata; the label columns themselves are never streamed through the
+// CPU, which is what makes open O(1) in the index size and lets
+// first-touch cost land lazily on the queries that actually fault each
+// page in. The trade, relative to the decoding reader: the whole-file
+// trailer crc32 and the interior entries are not audited at open. That
+// is sound because every query path is memory-safe without interior
+// trust — the merge cursors cannot escape the validated offsets cover
+// (see validateOffsets for the termination argument), compact
+// escape-slot reads are bounds-checked in the kernels, path unpacking
+// bounds-checks each stored hop and answers ErrPathUnpack on escape, and
+// the eccentricity index skips out-of-range ids. A corrupted or forged
+// file can therefore produce wrong answers but never a panic or an
+// out-of-map read; use index.Load (which audits everything including the
+// trailer checksum) or run Validate when loading files of unknown
+// provenance, and hubserve -selfcheck to spot-check served answers
+// against the graph.
 func OpenStoreMmap(path string) (LabelStore, error) {
 	m, err := mmapio.Open(path)
 	if err != nil {
@@ -89,9 +60,8 @@ func OpenStoreMmap(path string) (LabelStore, error) {
 		return nil, err
 	}
 	if s.Owned() {
-		// Decode fallback (old version, gamma payload, or every column
-		// copied by the cast guards): the labeling no longer needs the
-		// mapping.
+		// Decode fallback (legacy version, or every column copied by the
+		// cast guards): the labeling no longer needs the mapping.
 		m.Close()
 	}
 	return s, nil
@@ -105,132 +75,66 @@ func openStore(m *mmapio.Mapping) (LabelStore, error) {
 	if len(data) < containerHeaderLen {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than a header", ErrContainer, len(data))
 	}
-	version, flags, n64, slots64, err := parseContainerHeader(data[:containerHeaderLen])
+	base := data[:containerHeaderLen]
+	h, err := parseContainerHeader(base)
 	if err != nil {
 		return nil, err
 	}
-	if version < 3 {
-		// No alignment guarantees to point at: decode the old format.
-		return ReadContainer(bytes.NewReader(data))
-	}
-	if version >= 4 {
-		return openCompactMapped(m, data, flags, int(n64), int(slots64))
-	}
-	parents := flags&containerFlagParents != 0
-
-	// The canonical layout pins the exact file size before anything else
-	// is trusted: a table entry can then never name bytes outside the
-	// map, and an oversized length is caught even when the file's
-	// checksums are internally consistent.
-	want, end := containerSections(int64(n64), int64(slots64), parents)
-	if int64(len(data)) != end+4 {
-		return nil, fmt.Errorf("%w: %d bytes, canonical layout needs %d", ErrContainer, len(data), end+4)
-	}
-	headerEnd := alignedHeaderLen(len(want))
-	secs, err := validateAlignedExt(data[:containerHeaderLen], data[containerHeaderLen:headerEnd], want)
-	if err != nil {
-		return nil, err
-	}
-	pos := headerEnd
-	for i, s := range secs {
-		for _, b := range data[pos:s.off] {
-			if b != 0 {
-				return nil, fmt.Errorf("%w: nonzero padding before section %d", ErrContainer, i)
-			}
+	if h.version < versionExpanded {
+		// No alignment guarantees to point at: decode the legacy format.
+		// A file ends at its trailer, here as in the sectioned layouts.
+		r := bytes.NewReader(data)
+		s, err := ReadContainerStore(r)
+		if err == nil && r.Len() > 0 {
+			return nil, fmt.Errorf("%w: %d bytes follow the trailer", ErrContainer, r.Len())
 		}
-		pos = s.off + s.length
+		return s, err
 	}
-
-	f := &FlatLabeling{}
-	aliased := false
-	view := func(s containerSection) []int32 {
-		col, a := mmapio.View[int32](data[s.off : s.off+s.length])
-		aliased = aliased || a
-		return col
-	}
-	f.offsets = view(secs[0])
-	f.hubIDs = view(secs[1])
-	f.dists = view(secs[2])
-	if parents {
-		f.parents = view(secs[3])
-	}
-	if aliased {
-		f.ref = m
-	}
-	if err := f.validateOffsets(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrContainer, err)
-	}
-	return f, nil
-}
-
-// openCompactMapped builds a zero-copy CompactLabeling over a mapped
-// version-4 container. Validation order mirrors openStore's v3 path:
-// the extended header (escape-count bound, authenticated canonical
-// section table) is checked reading only header bytes, the exact file
-// size is then pinned from the canonical layout before any column view
-// exists, the padding is verified zero, and finally the O(n) structural
-// quick checks (CSR monotonicity, remap permutation) that the kernels'
-// memory-safety argument rests on.
-func openCompactMapped(m *mmapio.Mapping, data []byte, flags uint16, n, entries int) (*CompactLabeling, error) {
-	wide := flags&containerFlagWideDist != 0
-	parents := flags&containerFlagParents != 0
-	k := 6
-	if parents {
-		k = 7
-	}
-	headerEnd := compactHeaderLen(k)
+	headerEnd := containerHeaderLen + h.extLen()
 	if int64(len(data)) < headerEnd {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than a version-4 header", ErrContainer, len(data))
+		return nil, fmt.Errorf("%w: %d bytes is shorter than a version-%d header", ErrContainer, len(data), h.version)
 	}
-	secs, _, err := validateCompactExt(data[:containerHeaderLen], data[containerHeaderLen:headerEnd],
-		int64(n), int64(entries), wide, parents)
+	l, err := h.parseExt(base, data[containerHeaderLen:headerEnd])
 	if err != nil {
 		return nil, err
 	}
-	end := secs[len(secs)-1].off + secs[len(secs)-1].length
-	if int64(len(data)) != end+4 {
-		return nil, fmt.Errorf("%w: %d bytes, canonical layout needs %d", ErrContainer, len(data), end+4)
+	// The canonical layout pins the exact file size before any column
+	// view exists: a section can then never name bytes outside the map.
+	if int64(len(data)) != l.end()+4 {
+		return nil, fmt.Errorf("%w: %d bytes, canonical layout needs %d", ErrContainer, len(data), l.end()+4)
 	}
+	cols := make([]column, len(l.secs))
+	aliased := false
 	pos := headerEnd
-	for i, s := range secs {
-		for _, b := range data[pos:s.off] {
-			if b != 0 {
-				return nil, fmt.Errorf("%w: nonzero padding before section %d", ErrContainer, i)
-			}
+	for i, s := range l.secs {
+		if !allZero(data[pos:s.off]) {
+			return nil, fmt.Errorf("%w: nonzero padding before section %d", ErrContainer, i)
 		}
 		pos = s.off + s.length
+		if sec := data[s.off:pos]; s.raw {
+			// Byte columns need no cast and alias the mapping directly.
+			cols[i].raw = sec
+			aliased = aliased || len(sec) > 0
+		} else {
+			var a bool
+			cols[i].ints, a = mmapio.View[int32](sec)
+			aliased = aliased || a
+		}
 	}
-
-	c := &CompactLabeling{n: n, wide: wide}
-	aliased := false
-	view := func(s containerSection) []int32 {
-		col, a := mmapio.View[int32](data[s.off : s.off+s.length])
-		aliased = aliased || a
-		return col
+	var ref *mmapio.Mapping
+	if aliased {
+		ref = m
 	}
-	c.offsets = view(secs[0])
-	c.remap = view(secs[1])
-	c.escOff = view(secs[2])
-	// The byte columns need no cast and alias the mapping directly.
-	c.hubDelta = data[secs[3].off : secs[3].off+secs[3].length]
-	c.distDelta = data[secs[4].off : secs[4].off+secs[4].length]
-	c.esc = view(secs[5])
-	if parents {
-		c.parents = view(secs[6])
+	s := l.store(cols)
+	var quick func() error
+	switch s := s.(type) {
+	case *CompactLabeling:
+		s.ref, quick = ref, s.validateQuick
+	case *FlatLabeling:
+		s.ref, quick = ref, s.validateOffsets
 	}
-	if aliased || entries > 0 {
-		c.ref = m
-	}
-	if err := c.validateQuick(); err != nil {
+	if err := quick(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrContainer, err)
 	}
-	return c, nil
+	return s, nil
 }
-
-// ensure the alias types the casts rely on hold at compile time: the
-// graph ids and weights must be exactly int32 for a column view to be
-// well-typed.
-var (
-	_ []int32 = []graph.NodeID(nil)
-	_ []int32 = []graph.Weight(nil)
-)

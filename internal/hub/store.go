@@ -11,7 +11,7 @@ import (
 // concrete representation. Two representations exist —
 //
 //   - FlatLabeling ("expanded"): sentinel-terminated int32 CSR columns,
-//     the fastest merge kernel and the historical container formats 1–3;
+//     the fastest merge kernel and the expanded (version-3) container;
 //   - CompactLabeling ("compact"): frequency-ranked hub-id remapping
 //     over narrow delta-encoded byte columns with escape slots, the
 //     version-4 container, roughly 3–4× smaller resident bytes at a
@@ -31,7 +31,7 @@ import (
 // permutation, and bounds-checks every escape-slot read. Both therefore
 // stay memory-safe on quick-validated mmap views with hostile
 // interiors — wrong answers are possible there, out-of-bounds access is
-// not (see OpenContainerMmap for the trust model).
+// not (see OpenStoreMmap for the trust model).
 type LabelStore interface {
 	// NumVertices returns the number of vertices the labeling covers.
 	NumVertices() int

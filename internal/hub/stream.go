@@ -1,6 +1,7 @@
 package hub
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -11,399 +12,255 @@ import (
 
 // Streaming container emission.
 //
-// WriteContainer needs the frozen flat arrays, so persisting a build the
+// WriteContainer needs the frozen columns, so persisting a build the
 // ordinary way costs 2× the labeling in RAM: the slice-of-slices form the
 // builder produced plus the flat copy made just to serialize it. For a
 // million-vertex build that doubling is the difference between fitting in
-// a CI-class machine and not. ContainerWriter removes it: label runs are
-// appended one vertex at a time and land directly in the file, and the
-// output is byte-identical to WriteContainer's for every format version —
-// pinned by test — so readers (Load, LoadMmap, hubserve) cannot tell the
-// difference.
+// a CI-class machine and not. WriteContainerStreaming removes it: label
+// runs are fed one vertex at a time and land directly in the file, and
+// the output is byte-identical to WriteContainer's for both layouts —
+// pinned by test — so readers cannot tell the difference.
 //
-// The container formats are columnar (all offsets, then all hub ids, then
-// all distances, …), so per-vertex emission writes to as many distinct
-// file regions as there are columns. The writer therefore requires an
-// io.WriterAt — a fresh *os.File in practice — and gives each column a
-// region cursor with a small flush buffer. The one global in the format,
-// the trailing crc32 of the whole stream, is recovered at Finish without
-// re-reading anything: each column tracks the crc32 of its own bytes and
-// the trailer combines them with crc32Combine (the GF(2) matrix trick —
-// crc(A‖B) from crc(A), crc(B), len(B)).
-//
-// The Elias-gamma payload (ContainerOptions.Compress) is refused: its
-// variable-width codes admit no per-column cursor. Gamma containers are a
-// decode-path feature for small indexes; million-vertex builds use the
-// raw or aligned layouts, which are the servable ones anyway.
+// The format is columnar, so per-vertex emission writes to as many
+// distinct file regions as there are sections. The emitter therefore
+// requires an io.WriterAt — a fresh *os.File in practice — and gives each
+// section a region cursor with a small flush buffer. The one global in
+// the format, the trailing crc32 of the whole stream, is recovered at the
+// end without re-reading anything: each cursor tracks the crc32 of its
+// own bytes and the trailer combines them with crc32Combine (the GF(2)
+// matrix trick — crc(A‖B) from crc(A), crc(B), len(B)).
 
-// streamBufBytes is each column's flush buffer; four columns make the
-// writer's total steady-state memory ~1 MB regardless of index size.
+// streamBufBytes is each cursor's flush buffer; a handful of sections
+// make the emitter's total steady-state memory ~1–2 MB regardless of
+// index size.
 const streamBufBytes = 256 << 10
 
-// columnWriter appends bytes to one contiguous file region, tracking the
-// region's running crc32.
+// columnWriter appends bytes to one section's file region, tracking the
+// region's running crc32. Write errors are sticky in the owning
+// emitter's err: after one, appends are dropped.
 type columnWriter struct {
 	w    io.WriterAt
-	base int64 // file offset where the column starts
-	n    int64 // bytes appended so far
+	base int64 // file offset where the section starts
+	n    int64 // bytes written so far
 	crc  uint32
 	buf  []byte
+	err  *error
 }
 
-func (c *columnWriter) appendInt32(x int32) error {
+func (c *columnWriter) appendInt32(x int32) {
 	if len(c.buf)+4 > streamBufBytes {
-		if err := c.flush(); err != nil {
-			return err
-		}
+		c.flush()
 	}
-	c.buf = append(c.buf, byte(x), byte(uint32(x)>>8), byte(uint32(x)>>16), byte(uint32(x)>>24))
-	return nil
+	c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(x))
 }
 
 // appendBytes appends a raw byte run (the compact layout's delta
 // columns), flushing in streamBufBytes chunks.
-func (c *columnWriter) appendBytes(p []byte) error {
+func (c *columnWriter) appendBytes(p []byte) {
 	for len(c.buf)+len(p) > streamBufBytes {
 		take := streamBufBytes - len(c.buf)
 		c.buf = append(c.buf, p[:take]...)
-		if err := c.flush(); err != nil {
-			return err
-		}
+		c.flush()
 		p = p[take:]
 	}
 	c.buf = append(c.buf, p...)
-	return nil
 }
 
-func (c *columnWriter) flush() error {
-	if len(c.buf) == 0 {
-		return nil
+func (c *columnWriter) flush() {
+	if *c.err == nil && len(c.buf) > 0 {
+		if _, *c.err = c.w.WriteAt(c.buf, c.base+c.n); *c.err == nil {
+			c.crc = crc32.Update(c.crc, castagnoli, c.buf)
+			c.n += int64(len(c.buf))
+		}
 	}
-	if _, err := c.w.WriteAt(c.buf, c.base+c.n); err != nil {
-		return err
-	}
-	c.crc = crc32.Update(c.crc, castagnoli, c.buf)
-	c.n += int64(len(c.buf))
 	c.buf = c.buf[:0]
-	return nil
 }
 
-// ContainerWriter emits a container incrementally, one vertex's label run
-// per AppendVertex call, in vertex order. Construct with
-// NewContainerWriter, append exactly n vertices totalling exactly the
-// declared number of entries, then Finish. Any error is sticky: the
-// writer refuses further use, and the output must be discarded.
-type ContainerWriter struct {
-	w       io.WriterAt
-	n       int   // declared vertex count
-	slots   int64 // declared slots (entries + n sentinels)
-	parents bool
-	aligned bool
-
-	next      int   // vertices appended so far
-	pos       int64 // slots consumed so far
-	headerCrc uint32
-	headerLen int64
-	secs      []containerSection // one per column, all versions
-	cols      []columnWriter     // offsets, hubIDs, dists[, parents]
-	err       error
+// sectionCursors is the layout-generic emitter over io.WriterAt: one
+// append cursor per section of l. A feeder appends every column's values
+// in whatever interleaving suits it; finish then writes what no feeder
+// owns — header, padding, trailer. Regions the cursors skip are written
+// explicitly, so w can be any io.WriterAt, not only a fresh sparse file.
+type sectionCursors struct {
+	w    io.WriterAt
+	l    *layout
+	cols []columnWriter
+	err  error
 }
 
-// NewContainerWriter starts a container for n vertices and `entries`
-// label entries (sentinels excluded — the caller knows this total from
-// its build counters). withParents declares the parent column; every
-// AppendVertex call must then supply parents. The header is written
-// immediately. Regions the writer skips are written explicitly, so w can
-// be any io.WriterAt, not only a fresh sparse file.
-func NewContainerWriter(w io.WriterAt, n int, entries int64, withParents bool, opts ContainerOptions) (*ContainerWriter, error) {
-	if opts.Compress {
-		return nil, fmt.Errorf("hub: streaming container emission cannot produce the gamma payload (write a raw or aligned container)")
+func newSectionCursors(w io.WriterAt, l *layout) *sectionCursors {
+	sc := &sectionCursors{w: w, l: l, cols: make([]columnWriter, len(l.secs))}
+	for i, s := range l.secs {
+		sc.cols[i] = columnWriter{w: w, base: s.off, buf: make([]byte, 0, streamBufBytes), err: &sc.err}
 	}
-	if opts.Compact {
-		// The compact layout needs the global plan (remap table, column
-		// width, escape totals) before the first vertex lands, which the
-		// incremental per-vertex protocol cannot supply.
-		return nil, fmt.Errorf("hub: per-vertex container emission cannot produce the compact (v4) payload; use Labeling.WriteContainerStreaming, which plans the encoding in a pre-pass")
-	}
-	if n < 0 || entries < 0 {
-		return nil, fmt.Errorf("hub: negative container dimensions n=%d entries=%d", n, entries)
-	}
-	cw := &ContainerWriter{
-		w:       w,
-		n:       n,
-		slots:   entries + int64(n),
-		parents: withParents,
-		aligned: opts.Aligned,
-	}
-	var header []byte
-	if opts.Aligned {
-		cw.secs, _ = containerSections(int64(n), cw.slots, withParents)
-		header = make([]byte, alignedHeaderLen(len(cw.secs)))
-		copy(header[0:8], containerMagic[:])
-		putU16(header[8:], containerVersionAligned)
-		flags := uint16(0)
-		if withParents {
-			flags |= containerFlagParents
-		}
-		putU16(header[10:], flags)
-		putU64(header[16:], uint64(n))
-		putU64(header[24:], uint64(cw.slots))
-		putU64(header[32:], uint64(len(cw.secs)))
-		for i, s := range cw.secs {
-			putU64(header[40+16*i:], uint64(s.off))
-			putU64(header[48+16*i:], uint64(s.length))
-		}
-		putU32(header[len(header)-4:], crc32.Checksum(header[:len(header)-4], castagnoli))
-	} else {
-		header = make([]byte, containerHeaderLen)
-		copy(header[0:8], containerMagic[:])
-		version, flags := uint16(1), uint16(0)
-		if withParents {
-			version = containerVersionParents
-			flags |= containerFlagParents
-		}
-		putU16(header[8:], version)
-		putU16(header[10:], flags)
-		putU64(header[16:], uint64(n))
-		putU64(header[24:], uint64(cw.slots))
-		// Versions 1/2 pack the columns back to back after the header.
-		lengths := []int64{4 * (int64(n) + 1), 4 * cw.slots, 4 * cw.slots, 4 * cw.slots}
-		k := 3
-		if withParents {
-			k = 4
-		}
-		pos := int64(containerHeaderLen)
-		cw.secs = make([]containerSection, k)
-		for i := 0; i < k; i++ {
-			cw.secs[i] = containerSection{off: pos, length: lengths[i]}
-			pos += lengths[i]
-		}
-	}
-	cw.headerLen = int64(len(header))
-	cw.headerCrc = crc32.Checksum(header, castagnoli)
-	if _, err := w.WriteAt(header, 0); err != nil {
-		cw.err = err
-		return nil, err
-	}
-	cw.cols = make([]columnWriter, len(cw.secs))
-	for i := range cw.cols {
-		cw.cols[i] = columnWriter{w: w, base: cw.secs[i].off, buf: make([]byte, 0, streamBufBytes)}
-	}
-	return cw, nil
+	return sc
 }
 
-// AppendVertex emits vertex next's label run: hubs sorted strictly by id
-// (the canonical form), with parents[i] the next hop toward hubs[i].Node
-// (-1 for the self entry). parents must be nil exactly when the writer
-// was created without a parent column. The sentinel slot every format
-// version stores per vertex is appended automatically.
-func (cw *ContainerWriter) AppendVertex(hubs []Hub, parents []graph.NodeID) error {
-	if cw.err != nil {
-		return cw.err
+func (sc *sectionCursors) writeAt(p []byte, off int64) {
+	if sc.err == nil && len(p) > 0 {
+		_, sc.err = sc.w.WriteAt(p, off)
 	}
-	fail := func(err error) error { cw.err = err; return err }
-	v := graph.NodeID(cw.next)
-	if cw.next >= cw.n {
-		return fail(fmt.Errorf("hub: AppendVertex beyond the declared %d vertices", cw.n))
-	}
-	if cw.parents != (parents != nil) {
-		return fail(fmt.Errorf("hub: vertex %d parent column mismatch (writer declared withParents=%v)", v, cw.parents))
-	}
-	if parents != nil && len(parents) != len(hubs) {
-		return fail(fmt.Errorf("hub: vertex %d has %d parents for %d hubs", v, len(parents), len(hubs)))
-	}
-	if cw.pos+int64(len(hubs))+1 > cw.slots {
-		return fail(fmt.Errorf("hub: vertex %d overflows the declared %d slots", v, cw.slots))
-	}
-	if err := cw.cols[0].appendInt32(int32(cw.pos)); err != nil {
-		return fail(err)
-	}
-	prev := graph.NodeID(-1)
-	for i, h := range hubs {
-		if h.Node <= prev || int(h.Node) >= cw.n {
-			return fail(fmt.Errorf("hub: vertex %d label not canonical at entry %d (hub %d after %d, n=%d)", v, i, h.Node, prev, cw.n))
-		}
-		prev = h.Node
-		if h.Dist < 0 || h.Dist >= graph.Infinity {
-			return fail(fmt.Errorf("hub: vertex %d hub %d has distance %d outside [0, Infinity)", v, h.Node, h.Dist))
-		}
-		if parents != nil {
-			p := parents[i]
-			if h.Node == v {
-				if p != -1 {
-					return fail(fmt.Errorf("hub: vertex %d self entry has parent %d, want -1", v, p))
-				}
-			} else if p < 0 || int(p) >= cw.n || p == v {
-				return fail(fmt.Errorf("hub: vertex %d hub %d has invalid parent %d", v, h.Node, p))
-			}
-		}
-		if err := cw.cols[1].appendInt32(int32(h.Node)); err != nil {
-			return fail(err)
-		}
-		if err := cw.cols[2].appendInt32(int32(h.Dist)); err != nil {
-			return fail(err)
-		}
-		if parents != nil {
-			if err := cw.cols[3].appendInt32(int32(parents[i])); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	// Sentinel slot, exactly as buildFlat lays it out.
-	if err := cw.cols[1].appendInt32(int32(flatSentinel)); err != nil {
-		return fail(err)
-	}
-	if err := cw.cols[2].appendInt32(int32(graph.Infinity)); err != nil {
-		return fail(err)
-	}
-	if cw.parents {
-		if err := cw.cols[3].appendInt32(-1); err != nil {
-			return fail(err)
-		}
-	}
-	cw.pos += int64(len(hubs)) + 1
-	cw.next++
-	return nil
 }
 
-// Finish writes the closing offset, inter-column padding and the combined
-// crc32 trailer, and returns the container's total byte length. The
-// writer must have received exactly the declared vertices and entries.
-func (cw *ContainerWriter) Finish() (int64, error) {
-	if cw.err != nil {
-		return 0, cw.err
-	}
-	fail := func(err error) (int64, error) { cw.err = err; return 0, err }
-	if cw.next != cw.n {
-		return fail(fmt.Errorf("hub: Finish after %d of %d vertices", cw.next, cw.n))
-	}
-	if cw.pos != cw.slots {
-		return fail(fmt.Errorf("hub: labels fill %d of the declared %d slots", cw.pos, cw.slots))
-	}
-	if err := cw.cols[0].appendInt32(int32(cw.pos)); err != nil {
-		return fail(err)
-	}
-	for i := range cw.cols {
-		if err := cw.cols[i].flush(); err != nil {
-			return fail(err)
-		}
-		if cw.cols[i].n != cw.secs[i].length {
-			return fail(fmt.Errorf("hub: column %d wrote %d of %d bytes", i, cw.cols[i].n, cw.secs[i].length))
+// finish flushes the cursors, checks each filled its section exactly,
+// writes the header, the inter-section padding and the combined crc32
+// trailer, and returns the container's total byte length.
+func (sc *sectionCursors) finish() (int64, error) {
+	for i := range sc.cols {
+		sc.cols[i].flush()
+		if want := sc.l.secs[i].length; sc.err == nil && sc.cols[i].n != want {
+			sc.err = fmt.Errorf("hub: section %d received %d of %d bytes", i, sc.cols[i].n, want)
 		}
 	}
-	// Assemble the stream crc left to right: header, then each column with
-	// its zero padding (aligned layout only; versions 1/2 have none).
-	crc := cw.headerCrc
-	pos := cw.headerLen
+	if sc.err != nil {
+		return 0, sc.err
+	}
+	hdr := sc.l.header()
+	sc.writeAt(hdr, 0)
+	// Assemble the stream crc left to right: header, then each section
+	// behind its zero padding.
+	crc := crc32.Checksum(hdr, castagnoli)
+	pos := int64(len(hdr))
 	var pad [containerAlign]byte
-	for i := range cw.cols {
-		if gap := cw.secs[i].off - pos; gap > 0 {
-			if _, err := cw.w.WriteAt(pad[:gap], pos); err != nil {
-				return fail(err)
-			}
-			crc = crc32.Update(crc, castagnoli, pad[:gap])
-		}
-		crc = crc32Combine(crc, cw.cols[i].crc, cw.cols[i].n)
-		pos = cw.secs[i].off + cw.secs[i].length
+	for i, s := range sc.l.secs {
+		gap := pad[:s.off-pos]
+		sc.writeAt(gap, pos)
+		crc = crc32.Update(crc, castagnoli, gap)
+		crc = crc32Combine(crc, sc.cols[i].crc, s.length)
+		pos = s.off + s.length
 	}
-	var trailer [4]byte
-	putU32(trailer[:], crc)
-	if _, err := cw.w.WriteAt(trailer[:], pos); err != nil {
-		return fail(err)
+	sc.writeAt(binary.LittleEndian.AppendUint32(nil, crc), pos)
+	if sc.err != nil {
+		return 0, sc.err
 	}
-	cw.err = fmt.Errorf("hub: container writer already finished")
 	return pos + 4, nil
 }
 
 // WriteContainerStreaming streams l into w per vertex, never building the
 // flat arrays; the bytes are identical to Freeze().WriteContainer(...).
-// The labeling must be canonical (every builder's output is; after manual
-// Adds call Canonicalize first). The compact (v4) layout streams too: its
-// global plan (remap table, column width, escape totals) is computed in a
-// pre-pass over the labels, then the encoded columns land in the file one
-// vertex at a time — still never materializing the flat arrays, and still
-// byte-identical to the in-memory writer because both feed the same
-// per-vertex encoder under the same plan.
+// The labeling is validated first and refused before the first byte
+// lands (see validateForContainer; every builder's output passes, after
+// manual Adds call Canonicalize first). Both layouts stream through the
+// same cursors: the expanded feeder copies each run out behind its
+// sentinel; the compact feeder first computes the global plan (remap
+// table, column width, escape totals — so the header and section table
+// are final before any column byte lands) in a pre-pass over the labels,
+// then rank-sorts each vertex's entries through the same per-vertex
+// encoder the in-memory writer uses, which is what pins the two outputs
+// byte-identical.
 func (l *Labeling) WriteContainerStreaming(w io.WriterAt, opts ContainerOptions) (int64, error) {
-	if !l.canonical() {
-		return 0, fmt.Errorf("hub: streaming emission needs canonical labels (call Canonicalize)")
-	}
-	if opts.Compact {
-		if opts.Compress || opts.Aligned {
-			return 0, errCompactCompose
-		}
-		return l.writeCompactStreaming(w)
-	}
-	var entries int64
-	for v := range l.labels {
-		entries += int64(len(l.labels[v]))
-	}
-	cw, err := NewContainerWriter(w, len(l.labels), entries, l.parents != nil, opts)
-	if err != nil {
+	if err := l.validateForContainer(); err != nil {
 		return 0, err
 	}
-	for v := range l.labels {
-		var parents []graph.NodeID
-		if l.parents != nil {
-			parents = l.parents[v]
-			if parents == nil {
-				parents = []graph.NodeID{}
-			}
+	n := int64(len(l.labels))
+	var lay *layout
+	var feed func(*sectionCursors)
+	if opts.Compact {
+		plan := planCompactLabeling(l)
+		lay = compactLayout(n, plan.entries, plan.escs, plan.wide, l.parents != nil)
+		feed = func(sc *sectionCursors) { l.feedCompact(sc, plan) }
+	} else {
+		slots := n
+		for _, hubs := range l.labels {
+			slots += int64(len(hubs))
 		}
-		if err := cw.AppendVertex(l.labels[v], parents); err != nil {
-			return 0, err
-		}
+		lay = expandedLayout(n, slots, l.parents != nil)
+		feed = l.feedExpanded
 	}
-	return cw.Finish()
+	if lay.count > math.MaxInt32 {
+		return 0, fmt.Errorf("hub: %d label slots overflow the container's int32 offsets", lay.count)
+	}
+	sc := newSectionCursors(w, lay)
+	feed(sc)
+	return sc.finish()
 }
 
-// writeCompactStreaming emits the version-4 compact container from the
-// mutable labeling without ever building the flat arrays. Pass 1 is the
-// plan (hub frequencies → remap, escape counts → width and exact section
-// sizes, so the header and section table are final before any column
-// byte lands); pass 2 rank-sorts each vertex's entries and feeds them
-// through the same per-vertex encoder the in-memory writer uses, which
-// is what pins the two outputs byte-identical.
-func (l *Labeling) writeCompactStreaming(w io.WriterAt) (int64, error) {
+// validateForContainer is the one audit a labeling gets before it is
+// streamed: per label run, hubs strictly ascending by id and below n (the
+// canonical form), distances in [0, Infinity), and — with a parent
+// column — one parent per hub, -1 exactly on the self entry and a real
+// other vertex everywhere else. These are the invariants the decoding
+// reader enforces, so a refused labeling is one no reader would load.
+func (l *Labeling) validateForContainer() error {
 	n := len(l.labels)
-	plan := planCompactLabeling(l)
-	if plan.entries > math.MaxInt32 {
-		return 0, fmt.Errorf("hub: %d entries overflow the compact container's int32 CSR", plan.entries)
-	}
-	withParents := l.parents != nil
-	secs, _ := containerSectionsV4(int64(n), plan.entries, plan.escs, plan.wide, withParents)
-	hdr := buildCompactHeader(int64(n), plan.entries, plan.escs, plan.wide, withParents, secs)
-	if _, err := w.WriteAt(hdr, 0); err != nil {
-		return 0, err
-	}
-	// Columns in section order: offsets, remap, escOff, hubDelta,
-	// distDelta, esc[, parents].
-	cols := make([]columnWriter, len(secs))
-	for i := range cols {
-		cols[i] = columnWriter{w: w, base: secs[i].off, buf: make([]byte, 0, streamBufBytes)}
-	}
-	for _, h := range plan.remap {
-		if err := cols[1].appendInt32(int32(h)); err != nil {
-			return 0, err
+	for v, hubs := range l.labels {
+		if l.parents != nil && len(l.parents[v]) != len(hubs) {
+			return fmt.Errorf("hub: vertex %d has %d parents for %d hubs", v, len(l.parents[v]), len(hubs))
 		}
+		prev := graph.NodeID(-1)
+		for i, h := range hubs {
+			if h.Node <= prev || int(h.Node) >= n {
+				return fmt.Errorf("hub: vertex %d label not canonical at entry %d (hub %d after %d, n=%d; call Canonicalize)", v, i, h.Node, prev, n)
+			}
+			prev = h.Node
+			if h.Dist < 0 || h.Dist >= graph.Infinity {
+				return fmt.Errorf("hub: vertex %d hub %d has distance %d outside [0, Infinity)", v, h.Node, h.Dist)
+			}
+			if l.parents == nil {
+				continue
+			}
+			if p := l.parents[v][i]; int(h.Node) == v {
+				if p != -1 {
+					return fmt.Errorf("hub: vertex %d self entry has parent %d, want -1", v, p)
+				}
+			} else if p < 0 || int(p) >= n || int(p) == v {
+				return fmt.Errorf("hub: vertex %d hub %d has invalid parent %d", v, h.Node, p)
+			}
+		}
+	}
+	return nil
+}
+
+// feedExpanded feeds the expanded layout's cursors (offsets, hubIDs,
+// dists[, parents]): each run followed by its sentinel slot, exactly as
+// buildFlat lays it out.
+func (l *Labeling) feedExpanded(sc *sectionCursors) {
+	offsets, ids, dists := &sc.cols[0], &sc.cols[1], &sc.cols[2]
+	pos := int32(0)
+	for v, hubs := range l.labels {
+		if sc.err != nil {
+			return
+		}
+		offsets.appendInt32(pos)
+		for i, h := range hubs {
+			ids.appendInt32(int32(h.Node))
+			dists.appendInt32(int32(h.Dist))
+			if l.parents != nil {
+				sc.cols[3].appendInt32(int32(l.parents[v][i]))
+			}
+		}
+		ids.appendInt32(int32(flatSentinel))
+		dists.appendInt32(int32(graph.Infinity))
+		if l.parents != nil {
+			sc.cols[3].appendInt32(-1)
+		}
+		pos += int32(len(hubs)) + 1
+	}
+	offsets.appendInt32(pos)
+}
+
+// feedCompact feeds the compact layout's cursors (offsets, remap, escOff,
+// hubDelta, distDelta, esc[, parents]) under plan.
+func (l *Labeling) feedCompact(sc *sectionCursors, plan *compactPlan) {
+	withParents := l.parents != nil
+	for _, h := range plan.remap {
+		sc.cols[1].appendInt32(int32(h))
 	}
 	var (
-		es      []compactEntry
-		hb, db  []byte
-		escRun  []int32
-		parRun  []graph.NodeID
-		entries int64
-		escPos  int64
+		es            []compactEntry
+		hb, db        []byte
+		escRun        []int32
+		parRun        []graph.NodeID
+		entries, escs int32
 	)
-	for v := range l.labels {
-		if err := cols[0].appendInt32(int32(entries)); err != nil {
-			return 0, err
+	for v, hubs := range l.labels {
+		if sc.err != nil {
+			return
 		}
-		if err := cols[2].appendInt32(int32(escPos)); err != nil {
-			return 0, err
-		}
+		sc.cols[0].appendInt32(entries)
+		sc.cols[2].appendInt32(escs)
 		es = es[:0]
-		for i, h := range l.labels[v] {
+		for i, h := range hubs {
 			ent := compactEntry{rank: plan.inv[h.Node], dist: h.Dist, parent: -1}
 			if withParents {
 				ent.parent = l.parents[v][i]
@@ -411,77 +268,26 @@ func (l *Labeling) writeCompactStreaming(w io.WriterAt) (int64, error) {
 			es = append(es, ent)
 		}
 		sortCompactEntries(es)
-		hb, db, escRun, parRun = hb[:0], db[:0], escRun[:0], parRun[:0]
-		hb, db, escRun, parRun = appendVertexCompact(hb, db, escRun, parRun, es, plan.wide, withParents)
-		if err := cols[3].appendBytes(hb); err != nil {
-			return 0, err
-		}
-		if err := cols[4].appendBytes(db); err != nil {
-			return 0, err
-		}
+		hb, db, escRun, parRun = appendVertexCompact(hb[:0], db[:0], escRun[:0], parRun[:0], es, plan.wide, withParents)
+		sc.cols[3].appendBytes(hb)
+		sc.cols[4].appendBytes(db)
 		for _, x := range escRun {
-			if err := cols[5].appendInt32(x); err != nil {
-				return 0, err
-			}
+			sc.cols[5].appendInt32(x)
 		}
-		if withParents {
-			for _, p := range parRun {
-				if err := cols[6].appendInt32(int32(p)); err != nil {
-					return 0, err
-				}
-			}
+		for _, p := range parRun {
+			sc.cols[6].appendInt32(int32(p))
 		}
-		entries += int64(len(es))
-		escPos += int64(len(escRun))
+		entries += int32(len(es))
+		escs += int32(len(escRun))
 	}
-	if err := cols[0].appendInt32(int32(entries)); err != nil {
-		return 0, err
-	}
-	if err := cols[2].appendInt32(int32(escPos)); err != nil {
-		return 0, err
-	}
-	for i := range cols {
-		if err := cols[i].flush(); err != nil {
-			return 0, err
-		}
-		if cols[i].n != secs[i].length {
-			return 0, fmt.Errorf("hub: compact column %d wrote %d of %d bytes", i, cols[i].n, secs[i].length)
-		}
-	}
-	crc := crc32.Checksum(hdr, castagnoli)
-	pos := int64(len(hdr))
-	var pad [containerAlign]byte
-	for i := range cols {
-		if gap := secs[i].off - pos; gap > 0 {
-			if _, err := w.WriteAt(pad[:gap], pos); err != nil {
-				return 0, err
-			}
-			crc = crc32.Update(crc, castagnoli, pad[:gap])
-		}
-		crc = crc32Combine(crc, cols[i].crc, cols[i].n)
-		pos = secs[i].off + secs[i].length
-	}
-	var trailer [4]byte
-	putU32(trailer[:], crc)
-	if _, err := w.WriteAt(trailer[:], pos); err != nil {
-		return 0, err
-	}
-	return pos + 4, nil
-}
-
-func putU16(b []byte, v uint16) { b[0] = byte(v); b[1] = byte(v >> 8) }
-func putU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-func putU64(b []byte, v uint64) {
-	putU32(b, uint32(v))
-	putU32(b[4:], uint32(v>>32))
+	sc.cols[0].appendInt32(entries)
+	sc.cols[2].appendInt32(escs)
 }
 
 // crc32Combine returns the crc32 (Castagnoli, the container polynomial)
 // of the concatenation A‖B given crc32(A), crc32(B) and len(B), in
 // O(log len(B)) — zlib's crc32_combine ported to the reflected Castagnoli
-// polynomial. It is what lets Finish emit the format's single whole-file
+// polynomial. It is what lets finish emit the format's single whole-file
 // checksum from independently tracked per-column checksums without
 // re-reading the file.
 func crc32Combine(crc1, crc2 uint32, len2 int64) uint32 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"hash/crc32"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hublab/internal/graph"
@@ -73,6 +74,11 @@ func streamTestLabeling(t *testing.T, n int, withParents bool) *Labeling {
 	return AssembleSlicesParents(labels, parents)
 }
 
+// TestContainerWriterByteIdentical is the producers × layouts matrix: for
+// each fixture shape and each layout, the three producers — the expanded
+// store, the compact store, and the per-vertex streaming feeder over a
+// never-frozen labeling — must emit pairwise-identical bytes, and those
+// bytes must load through both doors to the fixture's labels.
 func TestContainerWriterByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -80,25 +86,31 @@ func TestContainerWriterByteIdentical(t *testing.T) {
 		parents bool
 		opts    ContainerOptions
 	}{
-		{"v1-no-parents", 40, false, ContainerOptions{}},
-		{"v2-parents", 40, true, ContainerOptions{}},
-		{"v3-aligned", 40, true, ContainerOptions{Aligned: true}},
-		{"v3-aligned-no-parents", 40, false, ContainerOptions{Aligned: true}},
-		{"v1-empty", 0, false, ContainerOptions{}},
-		{"v3-empty", 0, true, ContainerOptions{Aligned: true}},
-		{"v2-large", 3000, true, ContainerOptions{}},
-		{"v3-large", 3000, true, ContainerOptions{Aligned: true}},
+		{"v3-aligned", 40, true, ContainerOptions{}},
+		{"v3-aligned-no-parents", 40, false, ContainerOptions{}},
+		{"v3-empty", 0, true, ContainerOptions{}},
+		{"v3-large", 3000, true, ContainerOptions{}},
+		{"v4-compact", 40, true, ContainerOptions{Compact: true}},
+		{"v4-compact-no-parents", 40, false, ContainerOptions{Compact: true}},
+		{"v4-empty", 0, true, ContainerOptions{Compact: true}},
+		{"v4-large", 3000, true, ContainerOptions{Compact: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			l := streamTestLabeling(t, tc.n, tc.parents)
+			flat := streamTestLabeling(t, tc.n, tc.parents).Freeze()
 			var want bytes.Buffer
-			if _, err := l.Freeze().WriteContainer(&want, tc.opts); err != nil {
-				t.Fatalf("WriteContainer: %v", err)
+			if _, err := flat.WriteContainer(&want, tc.opts); err != nil {
+				t.Fatalf("FlatLabeling.WriteContainer: %v", err)
 			}
-			// Stream from a thawed twin so the flat form cannot leak in.
-			l2 := streamTestLabeling(t, tc.n, tc.parents)
+			var fromCompact bytes.Buffer
+			if _, err := CompactFromFlat(flat).WriteContainer(&fromCompact, tc.opts); err != nil {
+				t.Fatalf("CompactLabeling.WriteContainer: %v", err)
+			}
+			if !bytes.Equal(fromCompact.Bytes(), want.Bytes()) {
+				t.Fatalf("compact store writes different bytes than the expanded store (%d vs %d)", fromCompact.Len(), want.Len())
+			}
+			// Stream from a never-frozen twin so the flat form cannot leak in.
 			var got memWriterAt
-			total, err := l2.WriteContainerStreaming(&got, tc.opts)
+			total, err := streamTestLabeling(t, tc.n, tc.parents).WriteContainerStreaming(&got, tc.opts)
 			if err != nil {
 				t.Fatalf("WriteContainerStreaming: %v", err)
 			}
@@ -108,91 +120,82 @@ func TestContainerWriterByteIdentical(t *testing.T) {
 			if !bytes.Equal(got.buf, want.Bytes()) {
 				t.Fatalf("streamed container differs from reference (%d vs %d bytes)", len(got.buf), want.Len())
 			}
-			// And the bytes round-trip through the ordinary reader.
-			back, err := ReadContainer(bytes.NewReader(got.buf))
+			// And the bytes load through both doors to the same labels.
+			dec, err := ReadContainerStore(bytes.NewReader(got.buf))
 			if err != nil {
-				t.Fatalf("ReadContainer: %v", err)
+				t.Fatalf("ReadContainerStore: %v", err)
 			}
-			if back.NumVertices() != tc.n {
-				t.Errorf("round-trip has %d vertices, want %d", back.NumVertices(), tc.n)
+			view, err := OpenStoreMmap(writeTemp(t, got.buf))
+			if err != nil {
+				t.Fatalf("OpenStoreMmap: %v", err)
+			}
+			defer view.Release()
+			for door, s := range map[string]LabelStore{"decode": dec, "mmap": view} {
+				wantRep := RepExpanded
+				if tc.opts.Compact {
+					wantRep = RepCompact
+				}
+				if s.Representation() != wantRep {
+					t.Errorf("%s door serves %q, want %q", door, s.Representation(), wantRep)
+				}
+				if back := storeFlat(s); !flatEqual(back, flat) || !slices.Equal(back.parents, flat.parents) {
+					t.Errorf("%s door loads different labels", door)
+				}
 			}
 		})
 	}
 }
 
-func TestContainerWriterRejectsGamma(t *testing.T) {
-	var w memWriterAt
-	if _, err := NewContainerWriter(&w, 1, 0, false, ContainerOptions{Compress: true}); err == nil {
-		t.Fatal("gamma payload accepted by the streaming writer")
-	}
-}
-
+// TestContainerWriterContractErrors pins the two nets under the
+// streaming writer. The validation pass: a labeling no reader would load
+// — unsorted or out-of-range hubs, an out-of-range distance, a parent
+// column that is short, missing or invalid — is refused under both
+// layouts before the first byte lands. And finish: cursors fed fewer or
+// more bytes than the layout declares fail the save instead of emitting
+// a container whose section table lies.
 func TestContainerWriterContractErrors(t *testing.T) {
-	mk := func(n int, entries int64, parents bool) *ContainerWriter {
-		t.Helper()
-		cw, err := NewContainerWriter(&memWriterAt{}, n, entries, parents, ContainerOptions{})
-		if err != nil {
-			t.Fatalf("NewContainerWriter: %v", err)
-		}
-		return cw
+	for name, l := range map[string]*Labeling{
+		"unsorted-label":   {labels: [][]Hub{{{Node: 1, Dist: 1}, {Node: 0, Dist: 1}}, nil}},
+		"hub-out-of-range": {labels: [][]Hub{{{Node: 0, Dist: 0}, {Node: 2, Dist: 1}}, nil}},
+		"bad-distance":     {labels: [][]Hub{{{Node: 0, Dist: 0}, {Node: 1, Dist: graph.Infinity}}, nil}},
+		"parents-mismatch": {
+			labels:  [][]Hub{{{Node: 0, Dist: 0}}},
+			parents: [][]graph.NodeID{nil},
+		},
+		"bad-parent": {
+			labels:  [][]Hub{{{Node: 0, Dist: 0}, {Node: 1, Dist: 3}}, nil},
+			parents: [][]graph.NodeID{{-1, 5}, nil},
+		},
+		"self-entry-with-parent": {
+			labels:  [][]Hub{{{Node: 0, Dist: 0}}, nil},
+			parents: [][]graph.NodeID{{1}, nil},
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			for _, opts := range []ContainerOptions{{}, {Compact: true}} {
+				var w memWriterAt
+				if _, err := l.WriteContainerStreaming(&w, opts); err == nil {
+					t.Fatalf("compact=%v: invalid labeling accepted", opts.Compact)
+				}
+				if len(w.buf) != 0 {
+					t.Fatalf("compact=%v: %d bytes landed before the refusal", opts.Compact, len(w.buf))
+				}
+			}
+		})
 	}
-	t.Run("unsorted-label", func(t *testing.T) {
-		cw := mk(3, 2, false)
-		err := cw.AppendVertex([]Hub{{Node: 1, Dist: 1}, {Node: 0, Dist: 1}}, nil)
-		if err == nil {
-			t.Fatal("unsorted label accepted")
-		}
-		if _, err := cw.Finish(); err == nil {
-			t.Fatal("error was not sticky")
-		}
-	})
-	t.Run("too-many-vertices", func(t *testing.T) {
-		cw := mk(1, 1, false)
-		if err := cw.AppendVertex([]Hub{{Node: 0, Dist: 0}}, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := cw.AppendVertex(nil, nil); err == nil {
-			t.Fatal("appended past the declared vertex count")
-		}
-	})
-	t.Run("short-finish", func(t *testing.T) {
-		cw := mk(2, 3, false)
-		if err := cw.AppendVertex([]Hub{{Node: 0, Dist: 0}}, nil); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cw.Finish(); err == nil {
-			t.Fatal("Finish accepted a half-filled container")
-		}
-	})
-	t.Run("entries-mismatch", func(t *testing.T) {
-		cw := mk(1, 5, false)
-		if err := cw.AppendVertex([]Hub{{Node: 0, Dist: 0}}, nil); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cw.Finish(); err == nil {
-			t.Fatal("Finish accepted an under-filled slot count")
-		}
-	})
-	t.Run("parents-mismatch", func(t *testing.T) {
-		cw := mk(1, 1, true)
-		if err := cw.AppendVertex([]Hub{{Node: 0, Dist: 0}}, nil); err == nil {
-			t.Fatal("missing parent column accepted")
-		}
-	})
-	t.Run("bad-parent", func(t *testing.T) {
-		cw := mk(2, 2, true)
-		err := cw.AppendVertex([]Hub{{Node: 0, Dist: 0}, {Node: 1, Dist: 3}}, []graph.NodeID{-1, 5})
-		if err == nil {
-			t.Fatal("out-of-range parent accepted")
-		}
-	})
-	t.Run("double-finish", func(t *testing.T) {
-		cw := mk(0, 0, false)
-		if _, err := cw.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cw.Finish(); err == nil {
-			t.Fatal("second Finish did not error")
-		}
-	})
+	// The layout below declares 2 vertices holding 3 entries; each feed
+	// delivers something else.
+	for name, fed := range map[string]*Labeling{
+		"short-finish":      {labels: [][]Hub{{{Node: 0}, {Node: 1, Dist: 1}, {Node: 2, Dist: 1}}}},
+		"entries-mismatch":  {labels: [][]Hub{{{Node: 0}}, nil}},
+		"too-many-vertices": {labels: [][]Hub{{{Node: 0}}, {{Node: 1}}, {{Node: 2}}}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sc := newSectionCursors(&memWriterAt{}, expandedLayout(2, 5, false))
+			fed.feedExpanded(sc)
+			if _, err := sc.finish(); err == nil {
+				t.Fatal("finish accepted cursors that do not fill their sections exactly")
+			}
+		})
+	}
 }

@@ -209,12 +209,9 @@ func NewHubLabels(g *graph.Graph) (*HubLabels, error) {
 // NewHubLabelsFrom wraps an existing labeling, freezing it if necessary.
 func NewHubLabelsFrom(l *hub.Labeling) *HubLabels { return &HubLabels{l: l, s: l.Freeze()} }
 
-// FromFlat wraps an already-frozen flat labeling (e.g. one loaded from a
-// container) without ever materializing the mutable form.
-func FromFlat(f *hub.FlatLabeling) *HubLabels { return &HubLabels{s: f} }
-
 // FromStore wraps any frozen label store — expanded or compact — e.g.
-// one loaded from a container in its native representation.
+// one loaded from a container in its native representation, without
+// ever materializing the mutable form.
 func FromStore(s hub.LabelStore) *HubLabels { return &HubLabels{s: s} }
 
 // Distance decodes from the two labels. Out-of-range ids return

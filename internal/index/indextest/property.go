@@ -219,7 +219,7 @@ func RunContainerLoadEquivalence(t *testing.T, g *graph.Graph, seed int64) {
 		rep  string
 		opts hub.ContainerOptions
 	}{
-		{"v3", hub.RepExpanded, hub.ContainerOptions{Aligned: true}},
+		{"v3", hub.RepExpanded, hub.ContainerOptions{}},
 		{"v4", hub.RepCompact, hub.ContainerOptions{Compact: true}},
 	} {
 		path := filepath.Join(dir, "prop-"+format.name+".hli")

@@ -14,20 +14,49 @@ import (
 // Save writes idx to path as an index container. Only backends with a
 // persistent form support this; today that is HubLabels (the paper's
 // whole point is that the label structure is the thing worth storing).
-//
-// The write is crash-safe end to end: the container is written to a
-// temporary sibling, fsynced, and renamed into place, and the parent
-// directory is fsynced after the rename — so a crash (or a full disk, or
-// an injected short write) at any point leaves either the complete old
-// file or the complete new file at path, never a truncated container,
-// and a completed Save survives power loss. This discipline is what the
-// mmap serving path relies on: replacing a live container by anything
-// other than atomic rename can SIGBUS readers of the mapped file.
+// Writing through the store lets a compact index save either layout
+// (converting as needed) and an expanded index emit the compact layout
+// via opts.Compact. The write is crash-safe; see atomicWrite.
 func Save(path string, idx Index, opts hub.ContainerOptions) error {
 	x, ok := idx.(*HubLabels)
 	if !ok {
 		return fmt.Errorf("index: backend %q has no container form", idx.Name())
 	}
+	return atomicWrite(path, func(tmp *os.File) error {
+		_, err := x.Store().WriteContainer(faultinject.WrapWriter(faultinject.PointContainerWrite, tmp), opts)
+		return err
+	})
+}
+
+// SaveStreaming writes a canonical (not necessarily frozen) labeling to
+// path with the same crash-safety discipline as Save, but through
+// hub.Labeling.WriteContainerStreaming, so the flat representation is
+// never materialized. This is the save path for million-vertex builds:
+// the process's peak RSS stays at roughly one copy of the labeling
+// instead of two (mutable + flat), and the on-disk bytes are identical
+// to what Save would have produced.
+func SaveStreaming(path string, l *hub.Labeling, opts hub.ContainerOptions) error {
+	return atomicWrite(path, func(tmp *os.File) error {
+		_, err := l.WriteContainerStreaming(faultinject.WrapWriterAt(faultinject.PointContainerWrite, tmp), opts)
+		return err
+	})
+}
+
+// atomicWrite is the one crash-safe file replacement under both saves:
+// write fills a temporary sibling of path, which is then fsynced and
+// renamed into place, and the parent directory is fsynced after the
+// rename — so a crash (or a full disk, or an injected short write) at
+// any point leaves either the complete old file or the complete new
+// file at path, never a truncated container, and a completed save
+// survives power loss. This discipline is what the mmap serving path
+// relies on: replacing a live container by anything other than atomic
+// rename can SIGBUS readers of the mapped file.
+//
+// The faultinject wrap the callers put around tmp is how tests crash a
+// save partway through: a shortwrite trigger on PointContainerWrite
+// makes the writer fail after n bytes, the exact observable shape of a
+// torn write.
+func atomicWrite(path string, write func(tmp *os.File) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".hli-*")
 	if err != nil {
 		return err
@@ -39,12 +68,7 @@ func Save(path string, idx Index, opts hub.ContainerOptions) error {
 		tmp.Close()
 		return err
 	}
-	// The faultinject wrap is how tests crash a save partway through: a
-	// shortwrite trigger makes the writer fail after n bytes, the exact
-	// observable shape of a torn write. Writing through the store lets a
-	// compact index save any format (converting as needed) and an
-	// expanded index emit the compact v4 layout via opts.Compact.
-	if _, err := x.Store().WriteContainer(faultinject.WrapWriter(faultinject.PointContainerWrite, tmp), opts); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -64,48 +88,6 @@ func Save(path string, idx Index, opts hub.ContainerOptions) error {
 	}
 	// And make the rename itself durable: the directory entry lives in
 	// the parent directory's data.
-	return syncDir(filepath.Dir(path))
-}
-
-// SaveStreaming writes a canonical (not necessarily frozen) labeling to
-// path with the same crash-safety discipline as Save — temp sibling,
-// fsync, rename, directory fsync — but through hub.ContainerWriter, so
-// the flat representation is never materialized. This is the save path
-// for million-vertex builds: the process's peak RSS stays at roughly one
-// copy of the labeling instead of two (mutable + flat), and the
-// on-disk bytes are identical to what Save would have produced.
-//
-// Gamma-compressed containers cannot be emitted incrementally (the
-// payload is one bit-packed stream whose length is unknowable up
-// front); callers wanting Compress must Freeze and use Save.
-func SaveStreaming(path string, l *hub.Labeling, opts hub.ContainerOptions) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".hli-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return err
-	}
-	// Same chaos seam as Save: a shortwrite trigger on PointContainerWrite
-	// tears the streamed save partway through, and the temp+rename
-	// discipline must still leave path intact.
-	w := faultinject.WrapWriterAt(faultinject.PointContainerWrite, tmp)
-	if _, err := l.WriteContainerStreaming(w, opts); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
 	return syncDir(filepath.Dir(path))
 }
 
@@ -163,10 +145,13 @@ func CleanPartials(dir string) ([]string, error) {
 	return removed, nil
 }
 
-// Load reads an index container from path. The raw container path is
-// near-memcpy: the flat arrays are reconstructed without ever touching
-// the slice-of-slices labeling form. A version-4 (compact) container
-// loads in its compressed representation and serves from it.
+// Load reads an index container from path, decoding it onto the heap
+// with every check the format has (structure, trailer checksum). The
+// flat arrays are reconstructed without ever touching the
+// slice-of-slices labeling form; a compact container loads in its
+// compressed representation and serves from it. Load is a file door: the
+// file must end at the container's trailer, exactly as LoadMmap
+// requires, so the two doors agree on which files are corrupt.
 func Load(path string) (*HubLabels, error) {
 	if err := faultinject.Fire(faultinject.PointContainerRead); err != nil {
 		return nil, err
@@ -180,11 +165,18 @@ func Load(path string) (*HubLabels, error) {
 	if err != nil {
 		return nil, err
 	}
+	var probe [1]byte
+	if n, err := f.Read(probe[:]); n > 0 {
+		return nil, fmt.Errorf("%w: %s continues past its trailer", hub.ErrContainer, path)
+	} else if err != nil && err != io.EOF {
+		return nil, err
+	}
 	x.containerBytes = statSize(path)
 	return x, nil
 }
 
-// LoadReader is Load over an arbitrary stream.
+// LoadReader is Load over an arbitrary stream; it stops reading at the
+// trailer.
 func LoadReader(r io.Reader) (*HubLabels, error) {
 	s, err := hub.ReadContainerStore(r)
 	if err != nil {
@@ -193,14 +185,13 @@ func LoadReader(r io.Reader) (*HubLabels, error) {
 	return FromStore(s), nil
 }
 
-// LoadMmap opens a container zero-copy: for version-3 (aligned) and
-// version-4 (compact) files the index's columns are typed views of the
-// memory-mapped region, so the open is O(n) plus one header checksum
-// instead of a full decode, no second copy of the index exists in
-// anonymous memory, and processes serving the same file share its
+// LoadMmap opens a container zero-copy: the index's columns are typed
+// views of the memory-mapped region, so the open is O(n) plus one header
+// checksum instead of a full decode, no second copy of the index exists
+// in anonymous memory, and processes serving the same file share its
 // physical pages. A compact container serves straight from its
 // compressed form — queries decode on the fly and the resident working
-// set is the compressed bytes actually touched. Old or gamma-compressed
+// set is the compressed bytes actually touched. Legacy (version 1–2)
 // containers fall back to the decoded load transparently.
 //
 // A view-backed index must be released (Release, or a serving layer that

@@ -174,7 +174,7 @@ func TestLoadFaultPoint(t *testing.T) {
 	idx := saveFixture(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "labels.hli")
-	if err := Save(path, idx, hub.ContainerOptions{Aligned: true}); err != nil {
+	if err := Save(path, idx, hub.ContainerOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := faultinject.Enable("index.load:error:every=2", 1); err != nil {
@@ -203,9 +203,8 @@ func TestLoadFaultPoint(t *testing.T) {
 }
 
 // TestSaveStreamingByteIdentical pins that the streaming save path and
-// the freeze-then-Save path put the same bytes on disk — for the plain,
-// parent-carrying, and aligned container formats — and that the
-// streamed file loads through every reader.
+// the freeze-then-Save path put the same bytes on disk, in both
+// layouts, and that the streamed file loads through both doors.
 func TestSaveStreamingByteIdentical(t *testing.T) {
 	g, err := gen.RoadLike(9, 8, 3, 5)
 	if err != nil {
@@ -221,8 +220,8 @@ func TestSaveStreamingByteIdentical(t *testing.T) {
 		name string
 		opts hub.ContainerOptions
 	}{
-		{"v2", hub.ContainerOptions{}},
-		{"v3", hub.ContainerOptions{Aligned: true}},
+		{"v3", hub.ContainerOptions{}},
+		{"v4", hub.ContainerOptions{Compact: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := filepath.Join(dir, tc.name+"-ref.hli")
@@ -244,29 +243,75 @@ func TestSaveStreamingByteIdentical(t *testing.T) {
 			if !bytes.Equal(refB, gotB) {
 				t.Fatalf("streamed save differs from Save (%d vs %d bytes)", len(gotB), len(refB))
 			}
-			x, err := Load(got)
-			if err != nil {
-				t.Fatalf("streamed container does not load: %v", err)
-			}
-			if err := VerifySampled(x, g, 200, 3); err != nil {
-				t.Error(err)
-			}
-			if tc.opts.Aligned {
-				m, err := LoadMmap(got)
+			for door, load := range map[string]func(string) (*HubLabels, error){"Load": Load, "LoadMmap": LoadMmap} {
+				x, err := load(got)
 				if err != nil {
-					t.Fatalf("streamed aligned container does not mmap: %v", err)
+					t.Fatalf("streamed container fails %s: %v", door, err)
 				}
-				m.Release()
+				if err := VerifySampled(x, g, 200, 3); err != nil {
+					t.Errorf("%s: %v", door, err)
+				}
+				x.Release()
 			}
 		})
 	}
-	// Gamma compression has no streaming form; the error must be
-	// immediate, not a torn file.
-	if err := SaveStreaming(filepath.Join(dir, "gz.hli"), l, hub.ContainerOptions{Compress: true}); err == nil {
-		t.Error("SaveStreaming accepted Compress")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "gz.hli")); !os.IsNotExist(err) {
-		t.Error("rejected streaming save left a file behind")
+}
+
+// TestFileDoorsAgreeOnCorruption pins that Load and LoadMmap draw the
+// same line around a container file: one byte short or one byte long,
+// in either layout, is corrupt at both doors (so hubserve and
+// hubserve -mmap quarantine the same files), while the intact file
+// loads at both.
+func TestFileDoorsAgreeOnCorruption(t *testing.T) {
+	idx := saveFixture(t)
+	dir := t.TempDir()
+	doors := map[string]func(string) (*HubLabels, error){"Load": Load, "LoadMmap": LoadMmap}
+	for _, layout := range []struct {
+		name string
+		opts hub.ContainerOptions
+	}{
+		{"expanded", hub.ContainerOptions{}},
+		{"compact", hub.ContainerOptions{Compact: true}},
+	} {
+		path := filepath.Join(dir, layout.name+".hli")
+		if err := Save(path, idx, layout.opts); err != nil {
+			t.Fatal(err)
+		}
+		good, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, damage := range []struct {
+			name string
+			data []byte
+		}{
+			{"truncated-by-1", good[:len(good)-1]},
+			{"extended-by-1", append(append([]byte(nil), good...), 0)},
+		} {
+			bad := filepath.Join(dir, layout.name+"-"+damage.name+".hli")
+			if err := os.WriteFile(bad, damage.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for door, load := range doors {
+				t.Run(layout.name+"/"+door+"/"+damage.name, func(t *testing.T) {
+					x, err := load(bad)
+					if err == nil {
+						x.Release()
+						t.Fatal("damaged container loaded")
+					}
+					if !IsCorrupt(err) {
+						t.Fatalf("error %v is not classified corrupt", err)
+					}
+				})
+			}
+		}
+		for door, load := range doors {
+			x, err := load(path)
+			if err != nil {
+				t.Fatalf("%s %s rejects the intact file: %v", layout.name, door, err)
+			}
+			x.Release()
+		}
 	}
 }
 
@@ -295,7 +340,7 @@ func TestSaveStreamingCrashSafety(t *testing.T) {
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "labels.hli")
-	if err := SaveStreaming(path, l, hub.ContainerOptions{Aligned: true}); err != nil {
+	if err := SaveStreaming(path, l, hub.ContainerOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(path)
@@ -306,7 +351,7 @@ func TestSaveStreamingCrashSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(faultinject.Disable)
-	err = SaveStreaming(path, l, hub.ContainerOptions{Aligned: true})
+	err = SaveStreaming(path, l, hub.ContainerOptions{})
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("short-write streaming save err = %v, want ErrInjected", err)
 	}

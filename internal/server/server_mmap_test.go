@@ -43,7 +43,7 @@ func alignedContainerPath(tb testing.TB) string {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := l.Freeze().WriteContainer(f, hub.ContainerOptions{Aligned: true}); err != nil {
+	if _, err := l.Freeze().WriteContainer(f, hub.ContainerOptions{}); err != nil {
 		tb.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -124,13 +124,13 @@ func TestServerSwapUnderTraffic(t *testing.T) {
 		}(c)
 	}
 	// Swap in freshly built replacements (and one container round-trip
-	// style FromFlat wrap) while traffic flows.
+	// style FromStore wrap) while traffic flows.
 	for i := 0; i < 5; i++ {
 		replacement, err := index.NewHubLabels(g)
 		if err != nil {
 			t.Fatalf("rebuild: %v", err)
 		}
-		old := srv.Swap(index.FromFlat(replacement.Flat()))
+		old := srv.Swap(index.FromStore(replacement.Flat()))
 		if old == nil {
 			t.Fatal("Swap returned nil previous index")
 		}
@@ -281,7 +281,7 @@ func TestTryQueryRaceCloseSwap(t *testing.T) {
 	}
 	// Swap snapshots under fire, then close mid-traffic.
 	for i := 0; i < 3; i++ {
-		srv.Swap(index.FromFlat(idx.Flat()))
+		srv.Swap(index.FromStore(idx.Flat()))
 		time.Sleep(time.Millisecond)
 	}
 	_ = g

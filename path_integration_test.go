@@ -1,7 +1,7 @@
 package hublab
 
 // End-to-end coverage of the path/eccentricity surface through the public
-// facade: build → persist (v2 container) → load → serve, with witness
+// facade: build → persist (container with parents) → load → serve, with witness
 // paths validated against the graph and eccentricities against search.
 
 import (
@@ -20,12 +20,12 @@ import (
 func TestIntegrationPathSurfaceEndToEnd(t *testing.T) {
 	g, labels := sharedGnmPLL(t)
 	var buf bytes.Buffer
-	if _, err := WriteContainer(&buf, labels.Freeze(), ContainerOptions{Compress: true}); err != nil {
+	if _, err := WriteContainer(&buf, labels.Freeze(), ContainerOptions{}); err != nil {
 		t.Fatalf("WriteContainer: %v", err)
 	}
-	flat, err := ReadContainer(bytes.NewReader(buf.Bytes()))
+	flat, err := ReadContainerStore(bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		t.Fatalf("ReadContainer: %v", err)
+		t.Fatalf("ReadContainerStore: %v", err)
 	}
 	if !flat.HasParents() {
 		t.Fatal("container round trip lost the parent column")
@@ -80,8 +80,10 @@ func TestIntegrationPathSurfaceEndToEnd(t *testing.T) {
 }
 
 // TestIntegrationV1ContainerDegradesGracefully: a parentless labeling
-// (version-1 container) serves distances fine while paths degrade to the
-// documented sentinel all the way up through the server.
+// (what every version-1 container held, and what a container written
+// without a parent column still holds) serves distances fine while
+// paths degrade to the documented sentinel all the way up through the
+// server.
 func TestIntegrationV1ContainerDegradesGracefully(t *testing.T) {
 	_, labels := sharedGnmPLL(t)
 	// Strip parents by rebuilding the labels through the mutable Add path.
@@ -90,9 +92,9 @@ func TestIntegrationV1ContainerDegradesGracefully(t *testing.T) {
 	if _, err := WriteContainer(&buf, stripped.Freeze(), ContainerOptions{}); err != nil {
 		t.Fatalf("WriteContainer: %v", err)
 	}
-	flat, err := ReadContainer(bytes.NewReader(buf.Bytes()))
+	flat, err := ReadContainerStore(bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		t.Fatalf("ReadContainer: %v", err)
+		t.Fatalf("ReadContainerStore: %v", err)
 	}
 	if flat.HasParents() {
 		t.Fatal("stripped labeling still has parents")
