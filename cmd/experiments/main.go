@@ -1,20 +1,15 @@
-// Command experiments reproduces every experiment in DESIGN.md's
-// per-experiment index (E1–E12 plus the extension experiments E13–E26),
-// printing one table per experiment. The output of `experiments -run all`
-// is the source of EXPERIMENTS.md.
-//
-// With -cache the expensive PLL labelings are persisted as index
-// containers under the given directory and reloaded on later runs
-// instead of being rebuilt: E10 caches its Gnm(3k) labels, E18 its
-// Gnm(10k) serving index. E17 measures the rebuild-vs-load tradeoff
-// itself, so it always rebuilds — but it saves its result into the
-// cache, seeding E18 and later runs.
+// Command experiments reproduces the experiments in EXPERIMENTS.md's
+// index, printing one table per experiment: the paper reproduction
+// (E1–E12), the extensions (E13–E16) and the serving experiments that
+// assert a property no benchmark metric carries (E19 fairness, E22
+// chaos storm, E23 million-vertex build, E26 fleet goodput and shed
+// sharing). Serving speed is measured by the repository benchmark
+// (bench/run.sh), not here.
 //
 // Usage:
 //
 //	experiments -run all
 //	experiments -run E4,E5
-//	experiments -run E10,E17,E18 -cache /tmp/hlicache
 package main
 
 import (
@@ -23,19 +18,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"math/rand"
 	"net"
-	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,7 +33,6 @@ import (
 
 	"hublab/internal/approx"
 	"hublab/internal/cover"
-	"hublab/internal/dataset"
 	"hublab/internal/dlabel"
 	"hublab/internal/faultinject"
 	"hublab/internal/flowctl"
@@ -95,37 +84,49 @@ var experiments = []struct {
 	{"E14", "Extension: PLL equals canonical hierarchical labeling (ADGW12)", e14},
 	{"E15", "Extension: +2-error hub labels and correction tables (paper §1.1)", e15},
 	{"E16", "Extension: highway dimension estimates (ADF+16)", e16},
-	{"E17", "Serving: container load vs PLL rebuild", e17},
-	{"E18", "Serving: sharded server throughput vs worker count", e18},
 	{"E19", "Serving: fair admission control under overload", e19},
-	{"E20", "Serving: path unpacking and eccentricity query cost", e20},
-	{"E21", "Serving: zero-copy mmap open, first-touch cost, shared memory", e21},
 	{"E22", "Robustness: chaos storm — injected panics, corrupt reloads, exact accounting", e22},
 	{"E23", "Build pipeline: parallel PLL throughput, byte-equality, streaming memory", e23},
-	{"E24", "Serving: compressed v4 vs expanded v3 — resident bytes and query latency", e24},
-	{"E26", "Fleet: binary batch door vs HTTP door, goodput and shed sharing under flood", e26},
+	{"E26", "Fleet: goodput and shed sharing under flood", e26},
 }
 
-// cacheDir, when non-empty, holds persisted index containers so repeated
-// runs load instead of rebuild.
-var cacheDir string
+// selectExperiments resolves a -run value — "all" or a comma-separated
+// list of ids, case-insensitive — to the set of registry ids to run. An
+// id the registry does not hold is an error naming the valid ones, so a
+// typo (or a renamed experiment behind a CI gate) cannot pass by running
+// nothing.
+func selectExperiments(sel string) (map[string]bool, error) {
+	valid := make([]string, len(experiments))
+	want := make(map[string]bool, len(experiments))
+	for i, e := range experiments {
+		valid[i] = e.id
+		want[e.id] = false
+	}
+	for _, raw := range strings.Split(sel, ",") {
+		id := strings.ToUpper(strings.TrimSpace(raw))
+		if id == "ALL" {
+			for _, v := range valid {
+				want[v] = true
+			}
+			continue
+		}
+		if _, ok := want[id]; !ok {
+			return nil, fmt.Errorf("unknown experiment %q (valid: all, %s)", raw, strings.Join(valid, ", "))
+		}
+		want[id] = true
+	}
+	return want, nil
+}
 
 func run() error {
 	sel := flag.String("run", "all", "comma-separated experiment ids or 'all'")
-	flag.StringVar(&cacheDir, "cache", "", "directory for cached index containers (empty = rebuild every run)")
-	holdMode := flag.String("hold", "", "internal (E21 child): load -holdindex ('mmap' or 'decode'), report memory, wait for stdin EOF")
-	holdIndex := flag.String("holdindex", "", "internal (E21 child): container path for -hold")
 	flag.Parse()
-	if *holdMode != "" {
-		return runHold(*holdMode, *holdIndex)
-	}
-	want := map[string]bool{}
-	all := *sel == "all"
-	for _, id := range strings.Split(*sel, ",") {
-		want[strings.TrimSpace(strings.ToUpper(id))] = true
+	want, err := selectExperiments(*sel)
+	if err != nil {
+		return err
 	}
 	for _, e := range experiments {
-		if !all && !want[e.id] {
+		if !want[e.id] {
 			continue
 		}
 		fmt.Printf("==== %s: %s ====\n", e.id, e.desc)
@@ -401,68 +402,15 @@ func e9() error {
 	return nil
 }
 
-// cachedPLL returns a PLL hub-label index for g, loading it from the
-// container cache when -cache is set and a prior run saved a usable
-// container, and rebuilding (then saving) otherwise. A stale, corrupt or
-// version-incompatible cache file is not fatal — it is rebuilt over.
-func cachedPLL(key string, g *graph.Graph) (idx *index.HubLabels, cached bool, err error) {
-	var path string
-	if cacheDir != "" {
-		path = filepath.Join(cacheDir, key+".hli")
-		loaded, err := index.Load(path)
-		switch {
-		case err == nil && loaded.Meta().Vertices == g.NumNodes():
-			// The container records no graph identity, so a stale file
-			// can match on vertex count alone; spot-check distances
-			// before trusting it with experiment numbers.
-			if verr := index.VerifySampled(loaded, g, 64, 23); verr != nil {
-				fmt.Printf("  (cache %s stale, rebuilding: %v)\n", path, verr)
-				break
-			}
-			fmt.Printf("  (loaded cached index %s)\n", path)
-			return loaded, true, nil
-		case err != nil && !os.IsNotExist(err):
-			fmt.Printf("  (cache %s unusable, rebuilding: %v)\n", path, err)
-		}
-	}
-	labels, err := pll.Build(g, pll.Options{})
-	if err != nil {
-		return nil, false, err
-	}
-	idx = index.NewHubLabelsFrom(labels)
-	if err := saveCache(key, idx); err != nil {
-		return nil, false, err
-	}
-	return idx, false, nil
-}
-
-// saveCache persists idx as <cacheDir>/<key>.hli so cachedPLL finds it
-// on the next run; a no-op without -cache.
-func saveCache(key string, idx *index.HubLabels) error {
-	if cacheDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(cacheDir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(cacheDir, key+".hli")
-	if err := index.Save(path, idx, hub.ContainerOptions{}); err != nil {
-		return err
-	}
-	fmt.Printf("  (saved index container %s)\n", path)
-	return nil
-}
-
 func e10() error {
 	g, err := gen.Gnm(3000, 5400, 17)
 	if err != nil {
 		return err
 	}
-	idx, _, err := cachedPLL("e10-gnm3000", g)
+	labels, err := pll.Build(g, pll.Options{})
 	if err != nil {
 		return err
 	}
-	labels := idx.Flat()
 	rng := rand.New(rand.NewSource(5))
 	const q = 300
 	pairs := make([][2]graph.NodeID, q)
@@ -678,149 +626,6 @@ func e16() error {
 	}
 	fmt.Println("  (small per-ball covers at large scales = low highway dimension;")
 	fmt.Println("   the road-like network thins out, the random graph does not)")
-	return nil
-}
-
-// servingCacheKey names the shared Gnm(10k, 18k) serving instance in the
-// -cache directory; e17 saves under it and servingIndex loads by it.
-const servingCacheKey = "gnm10000"
-
-// servingInstance builds (or loads) the shared Gnm(10k, 18k) serving
-// index — the E10b/E17 instance — once per process for E18.
-var servingInstance struct {
-	once   sync.Once
-	idx    *index.HubLabels
-	ready  time.Duration
-	cached bool
-	err    error
-}
-
-func servingIndex() (*index.HubLabels, time.Duration, bool, error) {
-	servingInstance.once.Do(func() {
-		g, err := gen.Gnm(10000, 18000, 17)
-		if err != nil {
-			servingInstance.err = err
-			return
-		}
-		start := time.Now()
-		idx, cached, err := cachedPLL(servingCacheKey, g)
-		if err != nil {
-			servingInstance.err = err
-			return
-		}
-		servingInstance.idx = idx
-		servingInstance.ready = time.Since(start)
-		servingInstance.cached = cached
-	})
-	return servingInstance.idx, servingInstance.ready, servingInstance.cached, servingInstance.err
-}
-
-func e17() error {
-	g, err := gen.Gnm(10000, 18000, 17)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	labels, err := pll.Build(g, pll.Options{})
-	if err != nil {
-		return err
-	}
-	build := time.Since(start)
-	idx := index.NewHubLabelsFrom(labels)
-	// Seed the shared cache so later -cache runs start from this
-	// container instead of paying the build again.
-	if err := saveCache(servingCacheKey, idx); err != nil {
-		return err
-	}
-
-	dir, err := os.MkdirTemp("", "hublab-e17-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	fmt.Printf("  instance: Gnm(10000, 18000), avg|S(v)|=%.1f; PLL rebuild = %v\n",
-		idx.Flat().ComputeStats().Avg, build.Round(time.Millisecond))
-	fmt.Println("  layout    bytes      write      load     rebuild/load")
-	// The Elias-gamma payload row of earlier runs is gone with its
-	// writer (EXPERIMENTS.md keeps the historical numbers).
-	path := filepath.Join(dir, "expanded.hli")
-	ws := time.Now()
-	if err := index.Save(path, idx, hub.ContainerOptions{}); err != nil {
-		return err
-	}
-	write := time.Since(ws)
-	info, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	ls := time.Now()
-	rawLoaded, err := index.Load(path)
-	if err != nil {
-		return err
-	}
-	rawLoad := time.Since(ls)
-	if rawLoaded.Meta().Vertices != 10000 {
-		return fmt.Errorf("e17: loaded %d vertices", rawLoaded.Meta().Vertices)
-	}
-	fmt.Printf("  %-8s %9d  %9v %9v  %10.1fx\n",
-		"expanded", info.Size(), write.Round(time.Microsecond), rawLoad.Round(time.Microsecond),
-		float64(build)/float64(rawLoad))
-	// E18 serves this same instance: seed the in-process singleton so a
-	// `-run all` pass without -cache does not pay a second identical PLL
-	// construction. The reported ready time is the container-load time,
-	// which is exactly what a serving process would observe.
-	servingInstance.once.Do(func() {
-		servingInstance.idx = rawLoaded
-		servingInstance.ready = rawLoad
-		servingInstance.cached = true
-	})
-	fmt.Println("  (the stored query structure is the product; serving never re-runs construction)")
-	return nil
-}
-
-func e18() error {
-	idx, ready, cached, err := servingIndex()
-	if err != nil {
-		return err
-	}
-	if cached {
-		fmt.Printf("  index loaded from cache in %v\n", ready.Round(time.Millisecond))
-	} else {
-		fmt.Printf("  index built in %v (use -cache to load it next run)\n", ready.Round(time.Millisecond))
-	}
-	rng := rand.New(rand.NewSource(5))
-	const queries = 40000
-	pairs := make([][2]graph.NodeID, queries)
-	for i := range pairs {
-		pairs[i] = [2]graph.NodeID{graph.NodeID(rng.Intn(10000)), graph.NodeID(rng.Intn(10000))}
-	}
-	fmt.Println("  workers  clients      wall      queries/sec   coalesce")
-	for _, workers := range []int{1, 2, 4, 8} {
-		srv := server.New(idx, server.Options{Shards: workers})
-		clients := 2 * workers
-		var wg sync.WaitGroup
-		start := time.Now()
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				for i := c; i < queries; i += clients {
-					p := pairs[i]
-					// 2 clients per worker never fill a queue: every
-					// call is served, and Served below is the count.
-					_, _ = srv.TryQuery("e18", p[0], p[1])
-				}
-			}(c)
-		}
-		wg.Wait()
-		wall := time.Since(start)
-		st := srv.Stats()
-		srv.Close()
-		fmt.Printf("  %7d  %7d  %9v  %13.0f  %7.2f\n",
-			workers, clients, wall.Round(time.Millisecond),
-			float64(st.Served)/wall.Seconds(), float64(st.Served)/float64(st.Batches))
-	}
-	fmt.Println("  (throughput scales with shard workers; coalesce ≈ requests per merge group)")
 	return nil
 }
 
@@ -1068,388 +873,8 @@ func e19() error {
 	return nil
 }
 
-// e20: the cost of the richer query surface — witness-path unpacking
-// bucketed by path length, and eccentricity queries against the inverted
-// hub index, across instances of increasing average label size.
-func e20() error {
-	idx, ready, cached, err := servingIndex()
-	if err != nil {
-		return err
-	}
-	f := idx.Flat()
-	if !f.HasParents() {
-		// A stale version-1 cache container carries no parent column;
-		// rebuild the serving labeling so the experiment measures the
-		// real thing.
-		g, err := gen.Gnm(10000, 18000, 17)
-		if err != nil {
-			return err
-		}
-		labels, err := pll.Build(g, pll.Options{})
-		if err != nil {
-			return err
-		}
-		f = labels.Freeze()
-		fmt.Println("  (cached container had no parent column; rebuilt with parents)")
-	}
-	fmt.Printf("  instance: Gnm(10000, 18000), avg|S(v)|=%.1f (ready in %v, cached=%v)\n",
-		f.ComputeStats().Avg, ready.Round(time.Millisecond), cached)
-
-	// Path unpacking vs path length: sample pairs, bucket by hop count.
-	rng := rand.New(rand.NewSource(99))
-	type bucket struct {
-		lo, hi int
-		pairs  [][2]graph.NodeID
-		verts  int
-	}
-	buckets := []*bucket{{1, 2, nil, 0}, {3, 4, nil, 0}, {5, 6, nil, 0}, {7, 9, nil, 0}, {10, 1 << 30, nil, 0}}
-	var buf []graph.NodeID
-	for k := 0; k < 60000; k++ {
-		u := graph.NodeID(rng.Intn(10000))
-		v := graph.NodeID(rng.Intn(10000))
-		buf, err = f.AppendPath(buf[:0], u, v)
-		if err != nil {
-			return err
-		}
-		hops := len(buf) - 1
-		for _, b := range buckets {
-			if hops >= b.lo && hops <= b.hi && len(b.pairs) < 2000 {
-				b.pairs = append(b.pairs, [2]graph.NodeID{u, v})
-				b.verts += len(buf)
-			}
-		}
-	}
-	fmt.Println("  path length   pairs   ns/path    ns/vertex")
-	for _, b := range buckets {
-		if len(b.pairs) < 50 {
-			continue
-		}
-		const rounds = 30
-		start := time.Now()
-		for r := 0; r < rounds; r++ {
-			for _, p := range b.pairs {
-				buf, err = f.AppendPath(buf[:0], p[0], p[1])
-				if err != nil {
-					return err
-				}
-			}
-		}
-		el := time.Since(start)
-		perPath := float64(el.Nanoseconds()) / float64(rounds*len(b.pairs))
-		perVert := float64(el.Nanoseconds()) / float64(rounds*b.verts)
-		label := fmt.Sprintf("%d–%d", b.lo, b.hi)
-		if b.hi > 100 {
-			label = fmt.Sprintf("%d+", b.lo)
-		}
-		fmt.Printf("  %-11s %7d  %8.0f   %9.0f\n", label, len(b.pairs), perPath, perVert)
-	}
-
-	// Eccentricity queries vs average label size, across three instances.
-	fmt.Println("  eccentricity: instance             n  avg|S(v)|  ecc-index build   ns/ecc-query")
-	instances := []struct {
-		name string
-		g    func() (*graph.Graph, error)
-	}{
-		{"RoadLike(32x32)", func() (*graph.Graph, error) { return gen.RoadLike(32, 32, 8, 3) }},
-		{"RandomTree(4095)", func() (*graph.Graph, error) { return gen.RandomTree(4095, 3) }},
-		{"Gnm(10k,18k)", nil}, // reuses the serving labeling above
-	}
-	for _, inst := range instances {
-		lf := f
-		if inst.g != nil {
-			g, err := inst.g()
-			if err != nil {
-				return err
-			}
-			labels, err := pll.Build(g, pll.Options{})
-			if err != nil {
-				return err
-			}
-			lf = labels.Freeze()
-		}
-		bs := time.Now()
-		eccIdx := hub.NewEccIndex(lf)
-		build := time.Since(bs)
-		n := lf.NumVertices()
-		// The expander instance is the worst case (budgeted scan fallback,
-		// ~ms per query); sample it more lightly than the structured ones.
-		queries := 3000
-		if n >= 10000 {
-			queries = 200
-		}
-		qs := time.Now()
-		for k := 0; k < queries; k++ {
-			eccIdx.Eccentricity(graph.NodeID(rng.Intn(n)))
-		}
-		perQ := float64(time.Since(qs).Nanoseconds()) / float64(queries)
-		fmt.Printf("  %-28s %7d  %8.1f  %14v  %12.0f\n",
-			inst.name, n, lf.ComputeStats().Avg, build.Round(time.Microsecond), perQ)
-	}
-	fmt.Println("  (paths unpack at a few merge-queries' cost per vertex; ecc refinement is")
-	fmt.Println("   cheapest where hub bounds are tight and falls back to one budgeted batched")
-	fmt.Println("   label scan on expander-like instances — the paper's hard regime)")
-	return nil
-}
-
-// e21: the zero-copy serving path. Three measurements on the shared
-// Gnm(10k) instance written as an aligned (v3) container: (1) open
-// latency, decode vs mmap, with a byte-identical answer check; (2) the
-// first-touch cost an mmap process pays lazily — page faults and time of
-// the first query sweep vs the steady state; (3) resident memory of 1
-// vs 3 concurrent serving processes over the same container, decode vs
-// mmap (child processes of this binary in -hold mode report their
-// RSS/PSS) — the page-cache sharing that makes multi-process mmap
-// serving pay for the index once.
-func e21() error {
-	idx, _, _, err := servingIndex()
-	if err != nil {
-		return err
-	}
-	dir, err := os.MkdirTemp("", "hublab-e21-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "aligned.hli")
-	if err := index.Save(path, idx, hub.ContainerOptions{}); err != nil {
-		return err
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  instance: Gnm(10000, 18000), aligned container %d bytes\n", info.Size())
-
-	// (1) Open latency: best of reps, page cache warm in both cases.
-	const reps = 9
-	var decodeOpen, mmapOpen time.Duration = time.Hour, time.Hour
-	var decoded *index.HubLabels
-	for i := 0; i < reps; i++ {
-		s := time.Now()
-		x, err := index.Load(path)
-		if err != nil {
-			return err
-		}
-		if d := time.Since(s); d < decodeOpen {
-			decodeOpen = d
-		}
-		decoded = x
-	}
-	for i := 0; i < reps; i++ {
-		s := time.Now()
-		x, err := index.LoadMmap(path)
-		if err != nil {
-			return err
-		}
-		if d := time.Since(s); d < mmapOpen {
-			mmapOpen = d
-		}
-		x.Release()
-	}
-	fmt.Printf("  open: decode %v, mmap %v — %.0fx faster (O(1) in index size)\n",
-		decodeOpen.Round(time.Microsecond), mmapOpen.Round(time.Microsecond),
-		float64(decodeOpen)/float64(mmapOpen))
-
-	// Byte-identical answers across the two doors.
-	view, err := index.LoadMmap(path)
-	if err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(21))
-	for k := 0; k < 5000; k++ {
-		u := graph.NodeID(rng.Intn(10000))
-		v := graph.NodeID(rng.Intn(10000))
-		if a, b := decoded.Distance(u, v), view.Distance(u, v); a != b {
-			view.Release()
-			return fmt.Errorf("e21: decode and mmap disagree on (%d,%d): %d vs %d", u, v, a, b)
-		}
-	}
-	fmt.Println("  answers: 5000 sampled queries byte-identical across decode and mmap")
-	view.Release()
-
-	// (2) First-touch cost: a fresh mapping faults its pages in on the
-	// queries that touch them; the sweep price amortizes away.
-	fresh, err := index.LoadMmap(path)
-	if err != nil {
-		return err
-	}
-	pairs := make([][2]graph.NodeID, 20000)
-	for i := range pairs {
-		pairs[i] = [2]graph.NodeID{graph.NodeID(rng.Intn(10000)), graph.NodeID(rng.Intn(10000))}
-	}
-	f0 := minorFaults()
-	s := time.Now()
-	for _, p := range pairs {
-		fresh.Distance(p[0], p[1])
-	}
-	cold := time.Since(s)
-	coldFaults := minorFaults() - f0
-	f0 = minorFaults()
-	s = time.Now()
-	for _, p := range pairs {
-		fresh.Distance(p[0], p[1])
-	}
-	warm := time.Since(s)
-	warmFaults := minorFaults() - f0
-	fmt.Printf("  first-touch: first %d queries %v (%d soft faults), steady %v (%d) — %.0fns → %.0fns/query\n",
-		len(pairs), cold.Round(time.Microsecond), coldFaults, warm.Round(time.Microsecond), warmFaults,
-		float64(cold.Nanoseconds())/float64(len(pairs)), float64(warm.Nanoseconds())/float64(len(pairs)))
-	fresh.Release()
-
-	// (3) Shared memory across processes.
-	fmt.Println("  procs  mode    sum RSS (MB)  sum PSS (MB)")
-	for _, mode := range []string{"decode", "mmap"} {
-		for _, procs := range []int{1, 3} {
-			rss, pss, err := holdChildren(mode, path, procs)
-			if err != nil {
-				fmt.Printf("  (%d×%s skipped: %v)\n", procs, mode, err)
-				continue
-			}
-			fmt.Printf("  %5d  %-6s  %12.1f  %12.1f\n",
-				procs, mode, float64(rss)/1024, float64(pss)/1024)
-		}
-	}
-	fmt.Println("  (PSS divides shared pages among sharers: 3 mmap processes cost ~1 index,")
-	fmt.Println("   3 decode processes cost 3 — the kernel page cache is the only copy)")
-	return nil
-}
-
-// minorFaults reads this process's cumulative soft page faults
-// (/proc/self/stat field minflt); 0 when unavailable.
-func minorFaults() int64 {
-	data, err := os.ReadFile("/proc/self/stat")
-	if err != nil {
-		return 0
-	}
-	// comm may contain spaces: fields restart after the closing paren.
-	i := strings.LastIndexByte(string(data), ')')
-	if i < 0 {
-		return 0
-	}
-	fields := strings.Fields(string(data[i+1:]))
-	if len(fields) < 8 {
-		return 0
-	}
-	n, _ := strconv.ParseInt(fields[7], 10, 64)
-	return n
-}
-
-// selfMem reads this process's resident and proportional set sizes in
-// kB. PSS (shared pages divided among sharers) needs smaps_rollup; when
-// only VmRSS is available, PSS is reported equal to RSS.
-func selfMem() (rssKB, pssKB int64, err error) {
-	parse := func(path, key string) (int64, bool) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return 0, false
-		}
-		for _, line := range strings.Split(string(data), "\n") {
-			if strings.HasPrefix(line, key) {
-				f := strings.Fields(line)
-				if len(f) >= 2 {
-					n, err := strconv.ParseInt(f[1], 10, 64)
-					return n, err == nil
-				}
-			}
-		}
-		return 0, false
-	}
-	rss, ok := parse("/proc/self/status", "VmRSS:")
-	if !ok {
-		return 0, 0, fmt.Errorf("no /proc/self/status VmRSS")
-	}
-	if pss, ok := parse("/proc/self/smaps_rollup", "Pss:"); ok {
-		return rss, pss, nil
-	}
-	return rss, rss, nil
-}
-
-// runHold is the E21 child: load the container, touch every label page
-// with a query sweep, report memory, and hold the index until the parent
-// closes stdin.
-func runHold(mode, path string) error {
-	var idx *index.HubLabels
-	var err error
-	switch mode {
-	case "mmap":
-		idx, err = index.LoadMmap(path)
-	case "decode":
-		idx, err = index.Load(path)
-	default:
-		return fmt.Errorf("unknown -hold mode %q", mode)
-	}
-	if err != nil {
-		return err
-	}
-	defer idx.Release()
-	n := idx.Meta().Vertices
-	for v := 0; v < n; v++ {
-		idx.Distance(graph.NodeID(v), graph.NodeID((v+7)%n))
-	}
-	rss, pss, err := selfMem()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("HOLD rss_kb=%d pss_kb=%d\n", rss, pss)
-	io.Copy(io.Discard, os.Stdin)
-	return nil
-}
-
-// holdChildren spawns procs children of this binary in -hold mode over
-// the same container, collects their memory reports while all are alive
-// simultaneously (so PSS reflects real sharing), then releases them.
-func holdChildren(mode, path string, procs int) (sumRSSKB, sumPSSKB int64, err error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return 0, 0, err
-	}
-	type child struct {
-		cmd   *exec.Cmd
-		stdin io.WriteCloser
-		out   *bufio.Reader
-	}
-	children := make([]child, 0, procs)
-	defer func() {
-		for _, c := range children {
-			c.stdin.Close()
-			c.cmd.Wait()
-		}
-	}()
-	for i := 0; i < procs; i++ {
-		cmd := exec.Command(exe, "-hold", mode, "-holdindex", path)
-		stdin, err := cmd.StdinPipe()
-		if err != nil {
-			return 0, 0, err
-		}
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			return 0, 0, err
-		}
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			return 0, 0, err
-		}
-		children = append(children, child{cmd: cmd, stdin: stdin, out: bufio.NewReader(stdout)})
-	}
-	// Every child holds its index mapped until we close stdin below, so
-	// the reports are taken while all mappings coexist.
-	for i := range children {
-		line, err := children[i].out.ReadString('\n')
-		if err != nil {
-			return 0, 0, fmt.Errorf("child %d: %v", i, err)
-		}
-		var rss, pss int64
-		if _, err := fmt.Sscanf(strings.TrimSpace(line), "HOLD rss_kb=%d pss_kb=%d", &rss, &pss); err != nil {
-			return 0, 0, fmt.Errorf("child %d report %q: %v", i, line, err)
-		}
-		sumRSSKB += rss
-		sumPSSKB += pss
-	}
-	return sumRSSKB, sumPSSKB, nil
-}
-
-// e22: the chaos storm. One live server (the shared Gnm(10k) serving
-// index behind the sharded service) is attacked on two axes at once
+// e22: the chaos storm. One live server (a Gnm(10k) PLL index behind
+// the sharded service) is attacked on two axes at once
 // while client goroutines hammer it:
 //
 //   - worker panics and latency jitter via internal/faultinject, at a
@@ -1464,10 +889,15 @@ func holdChildren(mode, path string, procs int) (sumRSSKB, sumPSSKB int64, err e
 // count, ≥100 injected panics, ≥10 corrupt reloads quarantined, and the
 // post-storm server answering a pre-storm sample byte-identically.
 func e22() error {
-	idx, _, _, err := servingIndex()
+	g, err := gen.Gnm(10000, 18000, 17)
 	if err != nil {
 		return err
 	}
+	labels, err := pll.Build(g, pll.Options{})
+	if err != nil {
+		return err
+	}
+	idx := index.NewHubLabelsFrom(labels)
 	dir, err := os.MkdirTemp("", "hublab-e22-")
 	if err != nil {
 		return err
@@ -1813,396 +1243,9 @@ func e23() error {
 	return nil
 }
 
-// e24: compressed queryable serving (PR 8). The same labeling is saved
-// two ways — aligned v3 (expanded int32 columns) and compact v4
-// (frequency-ranked hub remap, delta-narrowed byte distances) — and
-// both are opened via mmap, compared on what a deployment pays:
-// container bytes on disk, the resident bytes a distance-only workload
-// touches (the arithmetic QueryBytes figure, corroborated by counting
-// soft page faults over a full query sweep on a fresh mapping — parent
-// pages are only ever faulted in by path queries), and merge-query
-// latency. Answers must be byte-identical across representations for
-// distances, unpacked paths, and eccentricities on every sampled pair.
-//
-// On the shared Gnm(10k) instance the experiment asserts the PR's
-// acceptance bar rather than just reporting it: the compact form must
-// hold ≥3× fewer distance-resident bytes at ≤1.5× merge latency.
-func e24() error {
-	type inst struct {
-		name string
-		idx  *index.HubLabels
-		gate bool
-	}
-	var insts []inst
-	shared, _, _, err := servingIndex()
-	if err != nil {
-		return err
-	}
-	insts = append(insts, inst{"gnm10k", shared, true})
-	roadG, err := gen.RoadLike(100, 100, 8, 23)
-	if err != nil {
-		return err
-	}
-	roadL, err := pll.Build(roadG, pll.Options{})
-	if err != nil {
-		return err
-	}
-	insts = append(insts, inst{"road100x100", index.NewHubLabelsFrom(roadL), false})
-	switch g, err := dataset.Load("rome99"); {
-	case errors.Is(err, dataset.ErrNotFetched):
-		fmt.Println("  (DIMACS rome99 skipped: not fetched — run scripts/fetch_dimacs.sh rome99)")
-	case err != nil:
-		return err
-	default:
-		l, err := pll.Build(g, pll.Options{})
-		if err != nil {
-			return err
-		}
-		insts = append(insts, inst{"rome99", index.NewHubLabelsFrom(l), false})
-	}
+// --- E26: fleet goodput and shed sharing under flood --------------------
 
-	dir, err := os.MkdirTemp("", "hublab-e24-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	page := int64(os.Getpagesize())
-
-	// sweepFaults opens a fresh mapping of path and counts the soft page
-	// faults one full distance sweep provokes — the kernel's own account
-	// of the resident working set, at page granularity.
-	sweepFaults := func(path string) (int64, error) {
-		x, err := index.LoadMmap(path)
-		if err != nil {
-			return 0, err
-		}
-		defer x.Release()
-		n := x.Meta().Vertices
-		f0 := minorFaults()
-		for v := 0; v < n; v++ {
-			x.Distance(graph.NodeID(v), graph.NodeID((v+7)%n))
-		}
-		return minorFaults() - f0, nil
-	}
-
-	fmt.Println("  instance      rep        container-B   query-resident-B   sweep-fault-MB   ns/query")
-	for _, tc := range insts {
-		n := tc.idx.Meta().Vertices
-		rng := rand.New(rand.NewSource(24))
-		pairs := make([][2]graph.NodeID, 20000)
-		for i := range pairs {
-			pairs[i] = [2]graph.NodeID{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))}
-		}
-		doors := []struct {
-			rep  string
-			opts hub.ContainerOptions
-		}{
-			{hub.RepExpanded, hub.ContainerOptions{}},
-			{hub.RepCompact, hub.ContainerOptions{Compact: true}},
-		}
-		var (
-			views    [2]*index.HubLabels
-			faults   [2]int64
-			resident [2]float64
-			latency  [2]float64
-		)
-		for d, door := range doors {
-			path := filepath.Join(dir, tc.name+"-"+door.rep+".hli")
-			if err := index.Save(path, tc.idx, door.opts); err != nil {
-				return err
-			}
-			x, err := index.LoadMmap(path)
-			if err != nil {
-				return err
-			}
-			defer x.Release()
-			if got := x.Meta().Representation; got != door.rep {
-				return fmt.Errorf("e24: %s opened as %q, want %q", path, got, door.rep)
-			}
-			// Byte-identical answers vs the build-side index: distances,
-			// unpacked paths, eccentricities.
-			for k := 0; k < 4000; k++ {
-				u, v := pairs[k][0], pairs[k][1]
-				if a, b := tc.idx.Distance(u, v), x.Distance(u, v); a != b {
-					return fmt.Errorf("e24: %s/%s distance(%d,%d)=%d, want %d", tc.name, door.rep, u, v, b, a)
-				}
-			}
-			for k := 0; k < 300; k++ {
-				u, v := pairs[k][0], pairs[k][1]
-				want, werr := tc.idx.AppendPath(nil, u, v)
-				got, gerr := x.AppendPath(nil, u, v)
-				if (werr == nil) != (gerr == nil) || !slices.Equal(want, got) {
-					return fmt.Errorf("e24: %s/%s path(%d,%d) diverges from build-side index", tc.name, door.rep, u, v)
-				}
-			}
-			for v := 0; v < 8 && v < n; v++ {
-				a, aerr := tc.idx.Eccentricity(graph.NodeID(v))
-				b, berr := x.Eccentricity(graph.NodeID(v))
-				if a != b || (aerr == nil) != (berr == nil) {
-					return fmt.Errorf("e24: %s/%s ecc(%d)=%d, want %d", tc.name, door.rep, v, b, a)
-				}
-			}
-			if faults[d], err = sweepFaults(path); err != nil {
-				return err
-			}
-			views[d] = x
-			resident[d] = float64(x.Store().QueryBytes())
-			latency[d] = math.MaxFloat64
-			// Warm the mapping so the timed rounds below measure the merge,
-			// not first-touch faults.
-			for _, p := range pairs {
-				x.Distance(p[0], p[1])
-			}
-		}
-		// Time the two doors interleaved — alternating rounds, minimum per
-		// door — so a machine-load swing lands on both representations
-		// instead of skewing whichever happened to run during it.
-		for round := 0; round < 5; round++ {
-			for d := range doors {
-				x := views[d]
-				s := time.Now()
-				for _, p := range pairs {
-					x.Distance(p[0], p[1])
-				}
-				if ns := float64(time.Since(s).Nanoseconds()) / float64(len(pairs)); ns < latency[d] {
-					latency[d] = ns
-				}
-			}
-		}
-		for d, door := range doors {
-			fmt.Printf("  %-12s  %-9s %12d  %17.0f  %15.2f  %9.0f\n",
-				tc.name, door.rep, views[d].Meta().ContainerBytes, resident[d],
-				float64(faults[d]*page)/(1<<20), latency[d])
-		}
-		rr := resident[0] / resident[1]
-		lr := latency[1] / latency[0]
-		fmt.Printf("  %-12s  compact: %.2fx smaller distance-resident set, %.2fx merge latency\n",
-			tc.name, rr, lr)
-		if tc.gate {
-			if rr < 3 {
-				return fmt.Errorf("e24: %s resident reduction %.2fx below the 3x acceptance bar", tc.name, rr)
-			}
-			if lr > 1.5 {
-				return fmt.Errorf("e24: %s merge latency %.2fx above the 1.5x acceptance bar", tc.name, lr)
-			}
-		}
-	}
-	fmt.Println("  (query-resident-B = QueryBytes: the columns a distance merge reads; the")
-	fmt.Println("   fault column is the kernel's page-granular count over a fresh mapping)")
-	return nil
-}
-
-// --- E26: binary batch door vs HTTP door, fleet goodput under flood ----
-
-// e26Door runs one closed-loop load generator per worker against a door
-// until the deadline, sums the queries each finished, and returns the
-// aggregate rate. The first worker error wins.
-func e26Door(workers int, dur time.Duration, worker func(w int, deadline time.Time) (int64, error)) (float64, error) {
-	var total atomic.Int64
-	errc := make(chan error, workers)
-	deadline := time.Now().Add(dur)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			n, err := worker(w, deadline)
-			total.Add(n)
-			if err != nil {
-				errc <- err
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errc)
-	if err := <-errc; err != nil {
-		return 0, err
-	}
-	return float64(total.Load()) / dur.Seconds(), nil
-}
-
-// e26Doors is part A of E26: the same Gnm(10k) serving index behind the
-// HTTP text door (one request-response per query, the hubserve -http
-// shape) and the binary batch door (up to wire.MaxBatch queries per
-// frame). The acceptance gate is the batching dividend: at batch 16 the
-// binary door must clear 5x the HTTP door's throughput.
-func e26Doors() error {
-	idx, ready, cached, err := servingIndex()
-	if err != nil {
-		return err
-	}
-	how := "built"
-	if cached {
-		how = "cache"
-	}
-	fmt.Printf("  part A: door throughput on Gnm(10000,18000) PLL (%s in %v)\n", how, ready.Round(time.Millisecond))
-
-	srv := server.New(idx, server.Options{Shards: runtime.GOMAXPROCS(0)})
-	defer srv.Close()
-	n := srv.Meta().Vertices
-
-	door := netserve.New(srv, netserve.Options{})
-	defer door.Close()
-	lnB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	go func() {
-		if err := door.Serve(lnB); err != nil && !errors.Is(err, net.ErrClosed) {
-			log.Printf("e26: binary door: %v", err)
-		}
-	}()
-
-	// The HTTP door replicates hubserve's /distance handler shape: text
-	// answer, one query per round trip, keep-alive connections.
-	mux := http.NewServeMux()
-	mux.HandleFunc("/distance", func(w http.ResponseWriter, r *http.Request) {
-		u, erru := strconv.Atoi(r.URL.Query().Get("u"))
-		v, errv := strconv.Atoi(r.URL.Query().Get("v"))
-		if erru != nil || errv != nil || u < 0 || u >= n || v < 0 || v >= n {
-			http.Error(w, "bad query", http.StatusBadRequest)
-			return
-		}
-		d, err := srv.TryQuery("e26-http", graph.NodeID(u), graph.NodeID(v))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintf(w, "%d\n", d)
-	})
-	lnH, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: mux}
-	defer hs.Close()
-	go func() {
-		if err := hs.Serve(lnH); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("e26: http door: %v", err)
-		}
-	}()
-
-	httpDoor := func(workers int, dur time.Duration) (float64, error) {
-		tr := &http.Transport{MaxIdleConnsPerHost: workers, MaxIdleConns: 2 * workers}
-		defer tr.CloseIdleConnections()
-		cl := &http.Client{Transport: tr}
-		base := "http://" + lnH.Addr().String() + "/distance"
-		return e26Door(workers, dur, func(w int, deadline time.Time) (int64, error) {
-			rng := rand.New(rand.NewSource(int64(2600 + w)))
-			var nq int64
-			for time.Now().Before(deadline) {
-				resp, err := cl.Get(fmt.Sprintf("%s?u=%d&v=%d", base, rng.Intn(n), rng.Intn(n)))
-				if err != nil {
-					return nq, err
-				}
-				_, cerr := io.Copy(io.Discard, resp.Body)
-				if err := resp.Body.Close(); cerr == nil {
-					cerr = err
-				}
-				if cerr != nil {
-					return nq, cerr
-				}
-				if resp.StatusCode != http.StatusOK {
-					return nq, fmt.Errorf("http door: status %d", resp.StatusCode)
-				}
-				nq++
-			}
-			return nq, nil
-		})
-	}
-
-	wireDoor := func(workers, batch int, dur time.Duration) (float64, error) {
-		addr := lnB.Addr().String()
-		return e26Door(workers, dur, func(w int, deadline time.Time) (int64, error) {
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				return 0, err
-			}
-			defer conn.Close()
-			bw := bufio.NewWriter(conn)
-			br := bufio.NewReader(conn)
-			rng := rand.New(rand.NewSource(int64(2700 + w)))
-			qs := make([]wire.Query, batch)
-			kinds := make([]uint8, batch)
-			rs := make([]wire.Result, 0, batch)
-			var frame, rbuf []byte
-			var nq int64
-			id := uint64(w) << 32
-			for time.Now().Before(deadline) {
-				for i := range qs {
-					qs[i] = wire.Query{Kind: wire.QDist, U: graph.NodeID(rng.Intn(n)), V: graph.NodeID(rng.Intn(n))}
-					kinds[i] = wire.QDist
-				}
-				id++
-				frame, err = wire.AppendRequest(frame[:0], id, qs)
-				if err != nil {
-					return nq, err
-				}
-				if _, err := bw.Write(frame); err != nil {
-					return nq, err
-				}
-				if err := bw.Flush(); err != nil {
-					return nq, err
-				}
-				kind, payload, err := wire.ReadFrame(br, &rbuf, 0)
-				if err != nil {
-					return nq, err
-				}
-				if kind != wire.FrameReply {
-					return nq, fmt.Errorf("binary door answered frame kind %d", kind)
-				}
-				gotID, out, err := wire.ParseReply(payload, kinds, rs[:0])
-				if err != nil {
-					return nq, err
-				}
-				if gotID != id || len(out) != batch {
-					return nq, fmt.Errorf("binary door reply mismatch: id %d want %d, %d results", gotID, id, len(out))
-				}
-				for _, r := range out {
-					if r.Status != uint8(wire.StatusOK) {
-						return nq, fmt.Errorf("binary door result status %d", r.Status)
-					}
-				}
-				nq += int64(batch)
-			}
-			return nq, nil
-		})
-	}
-
-	const (
-		workers = 8
-		warm    = 150 * time.Millisecond
-		window  = 600 * time.Millisecond
-	)
-	if _, err := httpDoor(workers, warm); err != nil {
-		return err
-	}
-	if _, err := wireDoor(workers, 16, warm); err != nil {
-		return err
-	}
-	httpQPS, err := httpDoor(workers, window)
-	if err != nil {
-		return err
-	}
-	bin1, err := wireDoor(workers, 1, window)
-	if err != nil {
-		return err
-	}
-	bin16, err := wireDoor(workers, 16, window)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  door          batch        q/s   vs http\n")
-	fmt.Printf("  http/text         1  %9.0f     1.00x\n", httpQPS)
-	fmt.Printf("  binary            1  %9.0f  %7.2fx\n", bin1, bin1/httpQPS)
-	fmt.Printf("  binary           16  %9.0f  %7.2fx\n", bin16, bin16/httpQPS)
-	if speed := bin16 / httpQPS; speed < 5 {
-		return fmt.Errorf("e26: binary door at batch 16 is %.2fx the HTTP door, below the 5x acceptance bar", speed)
-	}
-	return nil
-}
-
-// fleetClient is one load generator's outcome ledger in E26 part B.
+// fleetClient is one load generator's outcome ledger in E26.
 type fleetClient struct {
 	attempts atomic.Uint64
 	served   atomic.Uint64
@@ -2285,14 +1328,14 @@ func e26Flood(addr, name string, stop <-chan struct{}, wg *sync.WaitGroup, fc *f
 	}
 }
 
-// e26Fleet is part B of E26: a 3-replica fleet of synthetic-latency
+// e26: a 3-replica fleet of synthetic-latency
 // servers behind binary doors with gossiped admission state, loaded to
 // ~4x its aggregate capacity by one flooder while ten polite clients
 // pace at half the aggregate. Gates: total fleet goodput stays at or
 // above 0.9x the calibrated aggregate capacity, and a hog that floods
 // only replica A is rejected by replica B — which never saw the hog —
 // once A's verdict gossips over.
-func e26Fleet() error {
+func e26() error {
 	const (
 		// 2ms of synthetic service keeps the experiment sleep-bound
 		// rather than CPU-bound, so it stays meaningful on a small (even
@@ -2359,7 +1402,7 @@ func e26Fleet() error {
 		return fmt.Errorf("e26: capacity calibration measured %.0f q/s against a %.0f q/s nominal — box too noisy to run the fleet experiment", capacity, nominal)
 	}
 	aggregate := nNodes * capacity
-	fmt.Printf("  part B: %d-replica fleet, %v/query x %d shards, queue %d: %.0f q/s per replica, %.0f aggregate\n",
+	fmt.Printf("  %d-replica fleet, %v/query x %d shards, queue %d: %.0f q/s per replica, %.0f aggregate\n",
 		nNodes, svc, shards, queue, capacity, aggregate)
 
 	// The fleet: each replica is a server + binary door + gossiper, the
@@ -2602,11 +1645,4 @@ func e26Fleet() error {
 	fmt.Printf("  shed sharing: hog flooded A only -> P(drop) A=%.2f B=%.2f C=%.2f; B rejected %d/100 hog probes, served the bystander\n",
 		pA, pB, pC, busy)
 	return nil
-}
-
-func e26() error {
-	if err := e26Doors(); err != nil {
-		return err
-	}
-	return e26Fleet()
 }

@@ -210,3 +210,18 @@ func TestConcurrentFire(t *testing.T) {
 		t.Fatalf("Fired = %d, want %d", got, goroutines*visits/10)
 	}
 }
+
+// BenchmarkE22FireDisabled pins the zero-cost-when-disabled contract of
+// the fault-injection registry: with no faults armed, every hook on the
+// serving hot path (worker dispatch, warm, load, save) costs one atomic
+// load and no allocations. This is the number that justifies leaving
+// the hooks compiled into production binaries.
+func BenchmarkE22FireDisabled(b *testing.B) {
+	Disable()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := Fire(PointServerWorker); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

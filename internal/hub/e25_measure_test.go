@@ -1,8 +1,10 @@
 package hub_test
 
-// Manual A/B premium measurement for E25: alternates timed rounds of
-// the expanded and compact batched kernels so thermal drift hits both
-// sides equally. Run with:
+// The compact-vs-expanded comparison on the Gnm(10k) PLL labeling: the
+// resident-bytes bar (always checked) and a manual A/B premium
+// measurement for E25, which alternates timed rounds of the expanded
+// and compact batched kernels so thermal drift hits both sides
+// equally. Run the measurement with:
 //
 //	E25_MEASURE=1 go test -run TestE25PremiumMeasure -v ./internal/hub/
 import (
@@ -55,10 +57,20 @@ func measureFixture(t testing.TB) (*hub.FlatLabeling, *hub.CompactLabeling, [][2
 }
 
 func TestE25PremiumMeasure(t *testing.T) {
-	if os.Getenv("E25_MEASURE") == "" {
-		t.Skip("set E25_MEASURE=1 to run")
+	if testing.Short() {
+		t.Skip("builds the Gnm(10k) PLL labeling")
 	}
 	flat, compact, pairs := measureFixture(t)
+	// The compact layout's resident-bytes bar, on the labeling it was set
+	// on: a distance-only workload must touch at least 3x fewer bytes
+	// than on the expanded columns. Deterministic, so checked every run.
+	if r := float64(flat.QueryBytes()) / float64(compact.QueryBytes()); r < 3 {
+		t.Fatalf("compact QueryBytes %d vs expanded %d: %.2fx smaller, want >= 3x",
+			compact.QueryBytes(), flat.QueryBytes(), r)
+	}
+	if os.Getenv("E25_MEASURE") == "" {
+		return // the timed rounds below are a manual measurement
+	}
 	out := make([]graph.Weight, len(pairs))
 	const rounds = 10
 	const reps = 30
