@@ -1,14 +1,68 @@
 package approx
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
 	"testing/quick"
 
 	"hublab/internal/gen"
 	"hublab/internal/graph"
+	"hublab/internal/hub"
 	"hublab/internal/pll"
 )
+
+// labelingHash is the SHA-256 of l's expanded-layout container.
+func labelingHash(t *testing.T, l *hub.Labeling) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := l.Freeze().WriteContainer(&buf, hub.ContainerOptions{}); err != nil {
+		t.Fatalf("WriteContainer: %v", err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:])
+}
+
+// TestLabelingsGolden pins both constructions' output on the package's
+// own fixtures to the hashes recorded before the degree order moved from
+// an insertion sort to sort.SliceStable and SlackPLL's prune check moved
+// onto pll.Certified: same permutation, same predicate, same bytes.
+func TestLabelingsGolden(t *testing.T) {
+	gnm, err := gen.Gnm(150, 270, 1)
+	if err != nil {
+		t.Fatalf("Gnm: %v", err)
+	}
+	reg, err := gen.RandomRegular(200, 3, 7)
+	if err != nil {
+		t.Fatalf("RandomRegular: %v", err)
+	}
+	slack := func(g *graph.Graph) *hub.Labeling {
+		l, err := SlackPLL(g, Options{Slack: 2})
+		if err != nil {
+			t.Fatalf("SlackPLL: %v", err)
+		}
+		return l
+	}
+	res, err := Collapse(gnm)
+	if err != nil {
+		t.Fatalf("Collapse: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		l    *hub.Labeling
+		want string
+	}{
+		{"slack2/gnm150", slack(gnm), "eb0c1b4e47801ae00a91f08445698a2210a8f1907123b707ba0228d3d3b4069d"},
+		{"slack2/reg200", slack(reg), "51dacdc9356ae905d65d7afa95dfe70d342c1fa054d2efb79181c15514b14e70"},
+		{"collapse/gnm150", res.Labeling, "3114daf7e0ec559bde1253c331b9ec106106f08137da937a71485aa6fee0ff7c"},
+	} {
+		if got := labelingHash(t, tc.l); got != tc.want {
+			t.Errorf("%s: container hash %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
 
 func TestCollapseErrorAtMostTwo(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
