@@ -59,14 +59,9 @@ func Collapse(g *graph.Graph) (*CollapseResult, error) {
 		rep[i] = -1
 	}
 	// Greedy dominating set by degree: high-degree vertices dominate more.
-	order := make([]graph.NodeID, n)
-	for i := range order {
-		order[i] = graph.NodeID(i)
-	}
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && g.Degree(order[j]) > g.Degree(order[j-1]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
+	order, err := pll.OrderByName(g, "degree", 0)
+	if err != nil {
+		return nil, err
 	}
 	var doms []graph.NodeID
 	for _, v := range order {
@@ -106,8 +101,9 @@ func Collapse(g *graph.Graph) (*CollapseResult, error) {
 
 // Options configures SlackPLL.
 type Options struct {
-	// Slack is the pruning slack (≥ 1). Error is ≤ Slack for (root, v)
-	// pairs and measured by VerifyError for the rest.
+	// Slack is the pruning slack (≥ 1, and small enough that n-1+Slack
+	// stays below graph.Infinity). Error is ≤ Slack for (root, v) pairs
+	// and measured by VerifyError for the rest.
 	Slack graph.Weight
 }
 
@@ -121,14 +117,14 @@ func SlackPLL(g *graph.Graph, opts Options) (*hub.Labeling, error) {
 		return nil, fmt.Errorf("%w: weighted graphs not supported", ErrBadParam)
 	}
 	n := g.NumNodes()
-	order := make([]graph.NodeID, n)
-	for i := range order {
-		order[i] = graph.NodeID(i)
+	// An unweighted search reaches du ≤ n-1, and Certified needs its bound
+	// du+Slack to stay below Infinity.
+	if opts.Slack >= graph.Infinity-graph.Weight(n) {
+		return nil, fmt.Errorf("%w: slack=%d on %d vertices can reach Infinity (%d)", ErrBadParam, opts.Slack, n, graph.Infinity)
 	}
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && g.Degree(order[j]) > g.Degree(order[j-1]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
+	order, err := pll.OrderByName(g, "degree", 0)
+	if err != nil {
+		return nil, err
 	}
 	labels := make([][]hub.Hub, n)
 	rootDist := make([]graph.Weight, n)
@@ -149,14 +145,7 @@ func SlackPLL(g *graph.Graph, opts Options) (*hub.Labeling, error) {
 		for qi := 0; qi < len(queue); qi++ {
 			u := queue[qi]
 			du := dist[u]
-			pruned := false
-			for _, h := range labels[u] {
-				if rd := rootDist[h.Node]; rd < graph.Infinity && rd+h.Dist <= du+opts.Slack {
-					pruned = true
-					break
-				}
-			}
-			if pruned {
+			if pll.Certified(labels[u], rootDist, du+opts.Slack) {
 				continue
 			}
 			labels[u] = append(labels[u], hub.Hub{Node: root, Dist: du})

@@ -27,8 +27,9 @@ func labelingHash(t *testing.T, l *hub.Labeling) string {
 
 // TestLabelingsGolden pins both constructions' output on the package's
 // own fixtures to the hashes recorded before the degree order moved from
-// an insertion sort to sort.SliceStable and SlackPLL's prune check moved
-// onto pll.Certified: same permutation, same predicate, same bytes.
+// an O(n²) insertion sort to pll's stable "degree" order and SlackPLL's
+// prune check moved onto pll.Certified: same permutation, same predicate,
+// same bytes.
 func TestLabelingsGolden(t *testing.T) {
 	gnm, err := gen.Gnm(150, 270, 1)
 	if err != nil {
@@ -151,6 +152,14 @@ func TestSlackPLLRejectsBadInput(t *testing.T) {
 	}
 	if _, err := SlackPLL(g, Options{Slack: 0}); !errors.Is(err, ErrBadParam) {
 		t.Errorf("slack 0 err = %v, want ErrBadParam", err)
+	}
+	// du ≤ n-1 = 4 here: the largest slack that keeps du+Slack below
+	// Infinity is accepted, the next one is refused.
+	if _, err := SlackPLL(g, Options{Slack: graph.Infinity - 6}); err != nil {
+		t.Errorf("slack Infinity-6 on 5 vertices: %v", err)
+	}
+	if _, err := SlackPLL(g, Options{Slack: graph.Infinity - 5}); !errors.Is(err, ErrBadParam) {
+		t.Errorf("slack Infinity-5 on 5 vertices err = %v, want ErrBadParam", err)
 	}
 	b := graph.NewBuilder(3, 2)
 	b.AddWeightedEdge(0, 1, 4)

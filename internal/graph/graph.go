@@ -21,6 +21,11 @@ type Weight = int32
 // Infinity is the sentinel distance for unreachable vertices. It is chosen
 // well below the int32 overflow threshold so that Infinity+Infinity does not
 // wrap around.
+//
+// The label-scan kernels lean on two invariants instead of testing for the
+// sentinel per entry (pll.Certified is the main one): every real distance
+// is < Infinity, and a sum of two values that are each ≤ Infinity is
+// ≤ 2³⁰ < 2³¹, so "Infinity + d ≤ finite" is simply false and never wraps.
 const Infinity Weight = 1 << 29
 
 var (

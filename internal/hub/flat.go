@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"hublab/internal/graph"
@@ -603,37 +604,39 @@ func AssembleSlicesParents(labels [][]Hub, parents [][]graph.NodeID) *Labeling {
 	return l
 }
 
-// sortHubs sorts a label slice by (hub id, distance) — the canonical
-// per-vertex order.
-func sortHubs(hubs []Hub) {
-	sort.Slice(hubs, func(i, j int) bool {
-		if hubs[i].Node != hubs[j].Node {
-			return hubs[i].Node < hubs[j].Node
-		}
-		return hubs[i].Dist < hubs[j].Dist
-	})
+// labelSorter sorts one label at a time by hub id, reusing its scratch
+// across labels. Each entry becomes one uint64 key — hub id in the high
+// half, position in the low half — so the sort is the standard library's
+// ordered-integer pdqsort with inlined compares (no interface or function
+// call per comparison), it is stable, and applying it to the label and to
+// its parent column is one gather through the low halves.
+type labelSorter struct {
+	keys    []uint64
+	hubs    []Hub
+	parents []graph.NodeID
 }
 
-// sortHubsParents is sortHubs with the parent column permuted in lockstep.
-func sortHubsParents(hubs []Hub, parents []graph.NodeID) {
-	sort.Sort(&hubParentSorter{h: hubs, p: parents})
-}
-
-type hubParentSorter struct {
-	h []Hub
-	p []graph.NodeID
-}
-
-func (s *hubParentSorter) Len() int { return len(s.h) }
-func (s *hubParentSorter) Less(i, j int) bool {
-	if s.h[i].Node != s.h[j].Node {
-		return s.h[i].Node < s.h[j].Node
+// sort orders hubs by hub id, entries of equal id keeping their relative
+// order, and permutes parents (when non-nil) in lockstep.
+func (s *labelSorter) sort(hubs []Hub, parents []graph.NodeID) {
+	s.keys = s.keys[:0]
+	for i, h := range hubs {
+		s.keys = append(s.keys, uint64(uint32(h.Node))<<32|uint64(i))
 	}
-	return s.h[i].Dist < s.h[j].Dist
-}
-func (s *hubParentSorter) Swap(i, j int) {
-	s.h[i], s.h[j] = s.h[j], s.h[i]
-	s.p[i], s.p[j] = s.p[j], s.p[i]
+	if slices.IsSorted(s.keys) {
+		return
+	}
+	slices.Sort(s.keys)
+	s.hubs = append(s.hubs[:0], hubs...)
+	for i, k := range s.keys {
+		hubs[i] = s.hubs[uint32(k)]
+	}
+	if parents != nil {
+		s.parents = append(s.parents[:0], parents...)
+		for i, k := range s.keys {
+			parents[i] = s.parents[uint32(k)]
+		}
+	}
 }
 
 // validate asserts the full structural invariants of the flat arrays. It

@@ -109,27 +109,28 @@ func (l *Labeling) SetLabel(v graph.NodeID, hubs []Hub) {
 // and deduplicated in lockstep so it stays parallel to the labels.
 func (l *Labeling) Canonicalize() {
 	l.flat = nil
-	for v := range l.labels {
-		hubs := l.labels[v]
+	var sorter labelSorter
+	for v, hubs := range l.labels {
+		var parents []graph.NodeID
 		if l.parents != nil {
-			sortHubsParents(hubs, l.parents[v])
-		} else {
-			sortHubs(hubs)
+			parents = l.parents[v]
 		}
-		out := hubs[:0]
+		sorter.sort(hubs, parents)
 		keep := 0
 		for i, h := range hubs {
-			if i == 0 || h.Node != hubs[i-1].Node {
-				if l.parents != nil {
-					l.parents[v][keep] = l.parents[v][i]
-				}
-				out = append(out, h)
+			if keep == 0 || h.Node != hubs[keep-1].Node {
 				keep++
+			} else if h.Dist >= hubs[keep-1].Dist {
+				continue
+			}
+			hubs[keep-1] = h
+			if parents != nil {
+				parents[keep-1] = parents[i]
 			}
 		}
-		l.labels[v] = out
-		if l.parents != nil {
-			l.parents[v] = l.parents[v][:keep]
+		l.labels[v] = hubs[:keep]
+		if parents != nil {
+			l.parents[v] = parents[:keep]
 		}
 	}
 }

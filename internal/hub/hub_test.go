@@ -69,6 +69,45 @@ func TestCanonicalizeDedup(t *testing.T) {
 	}
 }
 
+// TestCanonicalizeKeepsParentsZipped checks the lockstep half of
+// Canonicalize on random labels with repeated hubs: every surviving entry
+// is the minimum-distance one of its hub (the first, on equal distances)
+// and still carries the parent it arrived with.
+func TestCanonicalizeKeepsParentsZipped(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(300)
+		hubs := make([]Hub, n)
+		parents := make([]graph.NodeID, n)
+		type best struct {
+			d graph.Weight
+			p graph.NodeID
+		}
+		want := map[graph.NodeID]best{}
+		for i := range hubs {
+			hubs[i] = Hub{Node: graph.NodeID(rng.Intn(1 + n/2)), Dist: graph.Weight(rng.Intn(4))}
+			parents[i] = graph.NodeID(i) // unique, so a swapped parent shows
+			if b, ok := want[hubs[i].Node]; !ok || hubs[i].Dist < b.d {
+				want[hubs[i].Node] = best{hubs[i].Dist, parents[i]}
+			}
+		}
+		l := &Labeling{labels: [][]Hub{hubs}, parents: [][]graph.NodeID{parents}}
+		l.Canonicalize()
+		got, gotPar := l.labels[0], l.parents[0]
+		if len(got) != len(want) || len(gotPar) != len(got) {
+			t.Fatalf("trial %d: %d hubs / %d parents, want %d", trial, len(got), len(gotPar), len(want))
+		}
+		for i, h := range got {
+			if i > 0 && got[i-1].Node >= h.Node {
+				t.Fatalf("trial %d: hubs not strictly increasing at %d: %v", trial, i, got)
+			}
+			if b := want[h.Node]; h.Dist != b.d || gotPar[i] != b.p {
+				t.Fatalf("trial %d: hub %d kept (dist %d, parent %d), want (%d, %d)", trial, h.Node, h.Dist, gotPar[i], b.d, b.p)
+			}
+		}
+	}
+}
+
 func TestTrivialLabelingIsCover(t *testing.T) {
 	g, err := gen.Gnm(40, 70, 5)
 	if err != nil {

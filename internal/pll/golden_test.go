@@ -14,7 +14,7 @@ import (
 // buildGolden maps "<fixture>/<order>" to the SHA-256 of the
 // expanded-layout container, parent column included, as emitted by the
 // builder of the commit before the build kernel was reworked (branch-free
-// prune predicate, relaxation-time parents, generic assembly sort). PLL's
+// prune predicate, relaxation-time parents, packed-key assembly sort). PLL's
 // output is the canonical hierarchical labeling of its order, so no kernel
 // change may move one of these: a differing hash means the predicate or
 // the parent rule changed, not just its cost.

@@ -128,7 +128,7 @@ func (ws *scratch) searchUnweighted(g *graph.Graph, root graph.NodeID, labels []
 	for qi := 0; qi < len(ws.queue); qi++ {
 		u := ws.queue[qi]
 		du := ws.dist[u]
-		if certified(labels[u], ws.rootDist, du) {
+		if Certified(labels[u], ws.rootDist, du) {
 			continue
 		}
 		out = append(out, candidate{v: u, d: du})
@@ -163,7 +163,7 @@ func (ws *scratch) searchWeighted(g *graph.Graph, root graph.NodeID, labels [][]
 		if du > ws.dist[u] {
 			continue
 		}
-		if certified(labels[u], ws.rootDist, du) {
+		if Certified(labels[u], ws.rootDist, du) {
 			continue
 		}
 		out = append(out, candidate{v: u, d: du})

@@ -160,13 +160,20 @@ func buildSequential(g *graph.Graph, order []graph.NodeID, progress func(Progres
 // consults labels of already-ranked roots, a temporary array holding the
 // current root's distances makes each prune check O(|label|).
 //
-// Parents are assigned after each root's search by the order-canonical
-// rule (canonicalPred), not from the BFS tree: the tree predecessor
-// depends on traversal order, and the parent column must be a pure
-// function of (graph, order) so the parallel engine can reproduce it
-// exactly. Every vertex on a shortest path from the root to a labeled
-// vertex is itself labeled — pruning it would prune the endpoint too —
-// which is what makes the recorded hops unpackable into full paths.
+// The parent of a labeled vertex is the order-canonical one — the minimum
+// id among its labeled neighbours one BFS level up, which is what
+// canonicalPred returns — and not the BFS-tree predecessor: the parent
+// column must be a pure function of (graph, order) for the parallel engine
+// to reproduce it. It is picked while relaxing instead of in a second pass
+// over every labeled vertex's neighbours: pred[v] is the minimum over the
+// vertices that relaxed v from level dist[v]-1, and that is the same
+// minimum over the same set, because only labeled vertices relax and every
+// level d-1 vertex is dequeued before any level-d vertex is. pred needs no
+// clearing — a search writes pred[v] when it first reaches v.
+//
+// Every vertex on a shortest path from the root to a labeled vertex is
+// itself labeled — pruning it would prune the endpoint too — which is what
+// makes the recorded hops unpackable into full paths.
 func buildUnweighted(g *graph.Graph, order []graph.NodeID, progress func(Progress)) ([][]hub.Hub, [][]graph.NodeID) {
 	n := g.NumNodes()
 	labels := make([][]hub.Hub, n)
@@ -179,13 +186,8 @@ func buildUnweighted(g *graph.Graph, order []graph.NodeID, progress func(Progres
 	for i := range dist {
 		dist[i] = graph.Infinity
 	}
-	stamp := make([]int32, n) // stamp[v] == rank ⇔ v labeled by this root
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	queue := make([]graph.NodeID, 0, n)
-	visited := make([]graph.NodeID, 0, n)
-	labeled := make([]graph.NodeID, 0, n)
+	pred := make([]graph.NodeID, n)     // valid wherever dist is finite
+	queue := make([]graph.NodeID, 0, n) // doubles as the visited list
 	var total int64
 
 	for rank, root := range order {
@@ -194,32 +196,32 @@ func buildUnweighted(g *graph.Graph, order []graph.NodeID, progress func(Progres
 			rootDist[h.Node] = h.Dist
 		}
 		dist[root] = 0
+		pred[root] = -1
 		queue = append(queue[:0], root)
-		visited = append(visited[:0], root)
-		labeled = labeled[:0]
 		for qi := 0; qi < len(queue); qi++ {
 			u := queue[qi]
 			du := dist[u]
-			if certified(labels[u], rootDist, du) {
+			if Certified(labels[u], rootDist, du) {
 				continue
 			}
 			labels[u] = append(labels[u], hub.Hub{Node: root, Dist: du})
-			stamp[u] = int32(rank)
-			labeled = append(labeled, u)
+			parents[u] = append(parents[u], pred[u])
+			total++
 			for _, v := range g.Neighbors(u) {
-				if dist[v] == graph.Infinity {
+				switch dv := dist[v]; {
+				case dv == graph.Infinity:
 					dist[v] = du + 1
+					pred[v] = u
 					queue = append(queue, v)
-					visited = append(visited, v)
+				case dv == du+1 && u < pred[v]:
+					pred[v] = u
 				}
 			}
 		}
-		appendCanonicalPreds(g, root, labeled, dist, stamp, int32(rank), parents)
-		total += int64(len(labeled))
 		for _, h := range labels[root] {
 			rootDist[h.Node] = graph.Infinity
 		}
-		for _, v := range visited {
+		for _, v := range queue {
 			dist[v] = graph.Infinity
 		}
 		if progress != nil && (rank%progressStride == progressStride-1 || rank == n-1) {
@@ -231,7 +233,9 @@ func buildUnweighted(g *graph.Graph, order []graph.NodeID, progress func(Progres
 
 // buildWeighted is the pruned Dijkstra variant (handles any non-negative
 // weights, including the 0-weight auxiliary edges used by degree
-// reduction).
+// reduction). Those edges are why it assigns parents in a pass after each
+// search (appendCanonicalPreds) and not while relaxing: across a 0-weight
+// edge a canonical predecessor can be settled after its successor.
 func buildWeighted(g *graph.Graph, order []graph.NodeID, progress func(Progress)) ([][]hub.Hub, [][]graph.NodeID) {
 	n := g.NumNodes()
 	labels := make([][]hub.Hub, n)
@@ -267,7 +271,7 @@ func buildWeighted(g *graph.Graph, order []graph.NodeID, progress func(Progress)
 			if du > dist[u] {
 				continue
 			}
-			if certified(labels[u], rootDist, du) {
+			if Certified(labels[u], rootDist, du) {
 				continue
 			}
 			labels[u] = append(labels[u], hub.Hub{Node: root, Dist: du})

@@ -10,16 +10,29 @@ import (
 // paths MUST go through these helpers: the parallel build's byte-equality
 // guarantee rests on every path applying the exact same prune predicate
 // and the exact same (order-canonical, traversal-independent) parent
-// choice.
+// choice. The one path that does not call canonicalPred — the sequential
+// BFS, which picks the parent while relaxing — computes the same minimum
+// over the same set (see buildUnweighted).
 
-// certified reports whether the labels of a visited vertex, intersected
+// Certified reports whether the labels of a visited vertex, intersected
 // with the current root's label (rootDist maps hub id → distance from the
-// root, Infinity when absent), already certify a root distance ≤ du. This
-// is the PLL prune predicate: when it holds the vertex gains no entry for
-// this root and its search subtree is cut off.
-func certified(label []hub.Hub, rootDist []graph.Weight, du graph.Weight) bool {
+// root, Infinity when absent), already certify a root distance ≤ bound.
+// This is the PLL prune predicate: when it holds the vertex gains no entry
+// for this root and its search subtree is cut off. The exact builders pass
+// the vertex's tentative distance du as the bound; approx.SlackPLL passes
+// du+Slack.
+//
+// The scan is branch-free per entry — it never asks whether the hub is in
+// the root's label, a coin flip the branch predictor cannot learn — and
+// rests on two invariants (see graph.Infinity):
+//
+//  1. bound < Infinity, so an absent hub (rootDist = Infinity) can never
+//     satisfy Infinity + d ≤ bound;
+//  2. every rootDist value and every label distance is in [0, Infinity],
+//     so their sum is at most 2·Infinity = 2³⁰ and cannot wrap int32.
+func Certified(label []hub.Hub, rootDist []graph.Weight, bound graph.Weight) bool {
 	for _, h := range label {
-		if rd := rootDist[h.Node]; rd < graph.Infinity && rd+h.Dist <= du {
+		if rootDist[h.Node]+h.Dist <= bound {
 			return true
 		}
 	}
@@ -67,8 +80,8 @@ func canonicalPred(g *graph.Graph, v graph.NodeID, dv graph.Weight, dist []graph
 // appendCanonicalPreds appends one parent per vertex the current root just
 // labeled, in `labeled` order: -1 for the root's self entry, the canonical
 // predecessor otherwise. dist must hold the true root distance of every
-// labeled vertex and stamp[v] == cur exactly for the labeled set — both
-// builders maintain this invariant at the point of call.
+// labeled vertex and stamp[v] == cur exactly for the labeled set. Only the
+// sequential Dijkstra builder calls it (buildWeighted says why).
 func appendCanonicalPreds(g *graph.Graph, root graph.NodeID, labeled []graph.NodeID, dist []graph.Weight, stamp []int32, cur int32, parents [][]graph.NodeID) {
 	for _, v := range labeled {
 		if v == root {
