@@ -353,7 +353,7 @@ func BenchmarkAblationPLLOrderDegree(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pll.Build(g, pll.Options{Order: pll.OrderDegree}); err != nil {
+		if _, err := pll.Build(g, pll.Options{OrderBy: "degree"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -366,7 +366,7 @@ func BenchmarkAblationPLLOrderRandom(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pll.Build(g, pll.Options{Order: pll.OrderRandom, Seed: int64(i)}); err != nil {
+		if _, err := pll.Build(g, pll.Options{OrderBy: "random", Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,8 +27,8 @@ func reloadFixture(t *testing.T) (servingPath, nextPath string, g *graph.Graph) 
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	write := func(name string, order pll.Order) string {
-		l, err := pll.Build(g, pll.Options{Order: order, Seed: 5})
+	write := func(name, order string) string {
+		l, err := pll.Build(g, pll.Options{OrderBy: order, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func reloadFixture(t *testing.T) (servingPath, nextPath string, g *graph.Graph) 
 		}
 		return path
 	}
-	return write("serving.hli", pll.OrderDegree), write("next.hli", pll.OrderRandom), g
+	return write("serving.hli", "degree"), write("next.hli", "random"), g
 }
 
 // TestHTTPReload drives the hot-swap door end to end: identical answers

@@ -94,15 +94,32 @@ func FuzzQueryBatchEquivalence(f *testing.F) {
 	})
 }
 
-// TestQueryBatchKernels runs the differential seed corpus under every
-// batch merge structure so the A/B-measurable variants all stay
-// correct, not just the default.
+// TestQueryBatchKernels runs every pair of each seed's labeling — both
+// widths, empty labels, and (seeds divisible by 3) skewed runs on either
+// side of the pair — through flat and compact Query and QueryBatch, and
+// checks all four kernels answer identically.
 func TestQueryBatchKernels(t *testing.T) {
-	defer SetBatchKernelForTest(0)
-	for k := 0; k <= 1; k++ {
-		SetBatchKernelForTest(k)
-		for seed := int64(1); seed <= 6; seed++ {
-			fuzzBatchLabeling(t, seed)
+	for seed := int64(1); seed <= 6; seed++ {
+		fl := fuzzBatchLabeling(t, seed)
+		c := CompactFromFlat(fl)
+		n := fl.NumVertices()
+		pairs := make([][2]graph.NodeID, 0, n*n)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				pairs = append(pairs, [2]graph.NodeID{graph.NodeID(u), graph.NodeID(v)})
+			}
+		}
+		outFlat := make([]graph.Weight, len(pairs))
+		outCompact := make([]graph.Weight, len(pairs))
+		fl.QueryBatch(pairs, outFlat)
+		c.QueryBatch(pairs, outCompact)
+		for k, p := range pairs {
+			want, _ := fl.Query(p[0], p[1])
+			got, _ := c.Query(p[0], p[1])
+			if got != want || outFlat[k] != want || outCompact[k] != want {
+				t.Fatalf("seed %d (%d,%d): flat %d, compact %d, flat batch %d, compact batch %d",
+					seed, p[0], p[1], want, got, outFlat[k], outCompact[k])
+			}
 		}
 	}
 }

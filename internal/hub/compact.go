@@ -35,11 +35,13 @@ import (
 //     writers rest on this.
 //
 // At two bytes per entry (narrow distances) against the expanded form's
-// eight, the merge working set shrinks ~4×. The merge kernel decodes
-// both runs in lockstep — same two-pointer scan as the flat kernel, with
-// the loads narrowed; on hostile (quick-validated mmap) interiors every
-// escape-slot read is bounds-checked and rank/distance accumulators may
-// wrap, producing wrong answers but never an out-of-bounds access.
+// eight, the resident working set shrinks ~4×. A distance query decodes
+// both runs into pooled scratch, each closed by a sentinel slot, and
+// then runs the flat layout's merge core on ranks (merge.go), so both
+// layouts share one set of merge kernels and one skew dispatch. On
+// hostile (quick-validated mmap) interiors every escape-slot read is
+// bounds-checked and rank/distance accumulators may wrap, producing
+// wrong answers but never an out-of-bounds access.
 //
 // The parent column, when present, is stored raw (one int32 per entry,
 // original-id space, entry order): parents are near-incompressible
@@ -168,9 +170,9 @@ func escSlot(esc []int32, e int32) (int32, int32) {
 // stepHub decodes the hub byte of entry k, advancing the rank
 // accumulator r and the escape cursor e. k is trusted (the caller
 // ranges it over a validated offsets run). Split from the distance
-// half so each piece fits the compiler's inlining budget — the merge
-// kernels run one hub/dist pair per entry and must not pay a function
-// call for it.
+// half so each piece fits the compiler's inlining budget — the run
+// decoders (decodeRunNarrow/Wide) take this path on escapes and must not
+// pay a function call for it.
 func stepHub(hd []byte, esc []int32, k int, e, r int32) (int32, int32) {
 	if b := hd[k]; b != escByte {
 		return e, r + int32(b) + 1
@@ -201,8 +203,8 @@ func stepDistWide(dd []byte, esc []int32, k int, e int32, d graph.Weight) (int32
 
 // stepNarrow decodes entry k of the narrow (one-byte distance) layout —
 // the hub half then the distance half. The cold decode paths (Label,
-// path unpacking, expansion, audits) call it for clarity; the hot merge
-// kernels call the two halves directly so both inline.
+// path unpacking, expansion, audits) call it for clarity; the run
+// decoders call the two halves directly so both inline.
 func stepNarrow(hd, dd []byte, esc []int32, k, e, r int32, d graph.Weight) (int32, int32, graph.Weight) {
 	e, r = stepHub(hd, esc, int(k), e, r)
 	e, d = stepDistNarrow(dd, esc, int(k), e, d)
@@ -216,126 +218,18 @@ func stepWide(hd, dd []byte, esc []int32, k, e, r int32, d graph.Weight) (int32,
 	return e, r, d
 }
 
-// Query decodes the distance between u and v by merging the two
-// rank-sorted runs in one lockstep decode pass. Zero allocations;
-// returns Infinity and false when the labels share no hub.
-//
-// Unlike the flat kernel there are no sentinels: termination rides the
-// entry counters (each loop iteration advances at least one cursor, and
-// a cursor at its run end stops the scan), so hostile delta bytes can
-// wrap the rank accumulators without affecting safety.
-//
-// The kernel works on per-run subslices with int cursors: every load is
-// dominated by a cursor-vs-length test, so the compiler drops the
-// per-entry bounds checks. The subslicing itself cannot panic — offsets
-// are validated monotone and within the columns at every open, including
-// quick-validated hostile views.
+// Query decodes both runs into pooled scratch (see compact_batch.go)
+// and answers the pair with the shared merge core — the same dispatch,
+// kernels and sentinel-terminated scan as FlatLabeling.Query, run over
+// ranks instead of ids. Zero allocations in steady state; returns
+// Infinity and false when the labels share no hub.
 func (c *CompactLabeling) Query(u, v graph.NodeID) (graph.Weight, bool) {
-	if c.wide {
-		return c.queryWide(u, v)
-	}
-	i0, i1 := c.offsets[u], c.offsets[u+1]
-	j0, j1 := c.offsets[v], c.offsets[v+1]
-	if i0 == i1 || j0 == j1 {
-		return graph.Infinity, false
-	}
-	hdA, ddA := c.hubDelta[i0:i1], c.distDelta[i0:i1]
-	hdB, ddB := c.hubDelta[j0:j1], c.distDelta[j0:j1]
-	esc := c.esc
-	eA, eB := c.escOff[u], c.escOff[v]
-	ra, da := int32(-1), graph.Weight(0)
-	rb, db := int32(-1), graph.Weight(0)
-	ka, kb := 0, 0
-	best := graph.Infinity
-	eA, ra = stepHub(hdA, esc, ka, eA, ra)
-	eA, da = stepDistNarrow(ddA, esc, ka, eA, da)
-	ka++
-	eB, rb = stepHub(hdB, esc, kb, eB, rb)
-	eB, db = stepDistNarrow(ddB, esc, kb, eB, db)
-	kb++
-	for {
-		if ra == rb {
-			if d := da + db; d < best {
-				best = d
-			}
-			if ka >= len(hdA) || kb >= len(hdB) {
-				break
-			}
-			eA, ra = stepHub(hdA, esc, ka, eA, ra)
-			eA, da = stepDistNarrow(ddA, esc, ka, eA, da)
-			ka++
-			eB, rb = stepHub(hdB, esc, kb, eB, rb)
-			eB, db = stepDistNarrow(ddB, esc, kb, eB, db)
-			kb++
-		} else if ra < rb {
-			if ka >= len(hdA) {
-				break
-			}
-			eA, ra = stepHub(hdA, esc, ka, eA, ra)
-			eA, da = stepDistNarrow(ddA, esc, ka, eA, da)
-			ka++
-		} else {
-			if kb >= len(hdB) {
-				break
-			}
-			eB, rb = stepHub(hdB, esc, kb, eB, rb)
-			eB, db = stepDistNarrow(ddB, esc, kb, eB, db)
-			kb++
-		}
-	}
-	return best, best < graph.Infinity
-}
-
-func (c *CompactLabeling) queryWide(u, v graph.NodeID) (graph.Weight, bool) {
-	i0, i1 := c.offsets[u], c.offsets[u+1]
-	j0, j1 := c.offsets[v], c.offsets[v+1]
-	if i0 == i1 || j0 == j1 {
-		return graph.Infinity, false
-	}
-	hdA, ddA := c.hubDelta[i0:i1], c.distDelta[2*i0:2*i1]
-	hdB, ddB := c.hubDelta[j0:j1], c.distDelta[2*j0:2*j1]
-	esc := c.esc
-	eA, eB := c.escOff[u], c.escOff[v]
-	ra, da := int32(-1), graph.Weight(0)
-	rb, db := int32(-1), graph.Weight(0)
-	ka, kb := 0, 0
-	best := graph.Infinity
-	eA, ra = stepHub(hdA, esc, ka, eA, ra)
-	eA, da = stepDistWide(ddA, esc, ka, eA, da)
-	ka++
-	eB, rb = stepHub(hdB, esc, kb, eB, rb)
-	eB, db = stepDistWide(ddB, esc, kb, eB, db)
-	kb++
-	for {
-		if ra == rb {
-			if d := da + db; d < best {
-				best = d
-			}
-			if ka >= len(hdA) || kb >= len(hdB) {
-				break
-			}
-			eA, ra = stepHub(hdA, esc, ka, eA, ra)
-			eA, da = stepDistWide(ddA, esc, ka, eA, da)
-			ka++
-			eB, rb = stepHub(hdB, esc, kb, eB, rb)
-			eB, db = stepDistWide(ddB, esc, kb, eB, db)
-			kb++
-		} else if ra < rb {
-			if ka >= len(hdA) {
-				break
-			}
-			eA, ra = stepHub(hdA, esc, ka, eA, ra)
-			eA, da = stepDistWide(ddA, esc, ka, eA, da)
-			ka++
-		} else {
-			if kb >= len(hdB) {
-				break
-			}
-			eB, rb = stepHub(hdB, esc, kb, eB, rb)
-			eB, db = stepDistWide(ddB, esc, kb, eB, db)
-			kb++
-		}
-	}
+	sc := batchScratchPool.Get().(*batchScratch)
+	idA, dA := c.decodeRun(u, sc.id[0], sc.d[0])
+	idB, dB := c.decodeRun(v, sc.id[1], sc.d[1])
+	sc.id[0], sc.d[0], sc.id[1], sc.d[1] = idA, dA, idB, dB
+	best := mergeRuns(idA, dA, len(idA)-1, idB, dB, len(idB)-1, graph.Infinity)
+	batchScratchPool.Put(sc)
 	return best, best < graph.Infinity
 }
 
@@ -405,28 +299,21 @@ func (c *CompactLabeling) QueryVia(u, v graph.NodeID) (graph.Weight, graph.NodeI
 	return best, via, via >= 0
 }
 
-// QueryBatch answers pairs[k] into out[k] by keeping two decode
-// streams in flight per pair and two merges in flight per batch (see
-// compact_batch.go): each run is decoded into pooled scratch by a
-// tight sequential loop, and the resulting L1-hot runs are merged two
-// pairs at a time in lockstep so their load→advance chains overlap.
-// Skewed pairs (per skewed()) peel off to the galloping kernel
-// instead of joining the lockstep, which would burn lockstep
-// iterations on the long run. Measured on gnm10k (E25) this brings
-// the batched compact premium over the expanded batch to ~1.33–1.40×
-// — down from 1.46× for the serial decode-then-merge (the E24 scalar
-// premium) and ~1.9× for an interleave of the byte-decoding scalar
-// merge, whose dependent decode chains never overlap.
+// QueryBatch answers pairs[k] into out[k] by decoding each pair's runs
+// into pooled scratch and merging balanced pairs two at a time in
+// lockstep so their load→advance chains overlap (see compact_batch.go).
+// Empty and skewed pairs are answered by the shared dispatch instead of
+// joining the lockstep, which would burn lockstep iterations on the long
+// run. Measured on gnm10k (E25) this brings the batched compact premium
+// over the expanded batch to ~1.33–1.40×, down from 1.46× for a serial
+// decode-then-merge and ~1.9× for an interleave of byte-decoding
+// merges, whose dependent decode chains never overlap.
 func (c *CompactLabeling) QueryBatch(pairs [][2]graph.NodeID, out []graph.Weight) {
 	if len(pairs) == 0 {
 		return
 	}
 	sc := batchScratchPool.Get().(*batchScratch)
-	if batchKernel == 1 {
-		c.queryBatchScalarMerge(sc, pairs, out)
-	} else {
-		c.queryBatchLockstep(sc, pairs, out)
-	}
+	c.queryBatchLockstep(sc, pairs, out)
 	batchScratchPool.Put(sc)
 }
 

@@ -6,27 +6,27 @@ import (
 	"hublab/internal/graph"
 )
 
-// Batched compact queries: decode-then-merge, two merges in flight.
+// Compact queries: decode, then run the shared merge core.
 //
-// The compact scalar merge pays for every entry twice — a dependent
-// byte-decode chain (delta add, escape test, zig-zag) feeding an
-// unpredictable three-way merge branch. Interleaving two such
-// byte-decoding merges was measured to hide none of the stall: the
-// decode chain blocks at the head of the reorder window regardless of
-// how many merges are in flight, and the extra stream state spills
-// (the refilled-interleave variant ran at a ~1.9× premium over the
-// expanded batch on gnm10k).
+// A fused kernel that decodes bytes inside the merge pays for every
+// entry twice — a dependent byte-decode chain (delta add, escape test,
+// zig-zag) feeding an unpredictable three-way merge branch — and two
+// such merges interleaved hide none of the stall: the decode chain
+// blocks at the head of the reorder window regardless of how many
+// merges are in flight (the refilled-interleave variant ran at a ~1.9×
+// premium over the expanded batch on gnm10k).
 //
 // Splitting the phases wins instead. Each run is decoded by a tight
 // sequential loop into pooled scratch (the chain shrinks to a one-add
 // prefix sum over bytes the hardware prefetcher streams, ~1.15 µs/query
-// on gnm10k), and the merges then run over L1-hot int32 scratch where
-// they are bound only by their own load→advance dependency chains —
-// which two lockstep, independent merges genuinely overlap. Measured
-// on the gnm10k fixture (1024 random pairs, min-of-10 alternating
-// rounds): expanded batch ~2.4 µs/q, decode+serial merge ~3.6 µs/q
-// (premium 1.47, matching the E24 scalar premium), decode+lockstep
-// pair ~3.3 µs/q (premium 1.33–1.40).
+// on gnm10k) and closed with a flatSentinel slot, so the merge then runs
+// over L1-hot int32 scratch with exactly the kernels, dispatch and
+// termination argument of the flat layout (merge.go). Query does this
+// for one pair. QueryBatch keeps two balanced pairs in flight and merges
+// them in lockstep, since two independent merges' load→advance chains
+// overlap in the pipeline: on the gnm10k fixture (1024 random pairs,
+// min-of-10 alternating rounds) expanded batch ~2.4 µs/q,
+// decode+serial merge ~3.6 µs/q, decode+lockstep pair ~3.3 µs/q.
 //
 // Variants tried and rejected by the same harness: lazy distance
 // decode (stop at the last matching rank — random pairs share hubs
@@ -35,43 +35,50 @@ import (
 // (register spills, 1.46); sorting four pairs by decoded length to
 // pair like-sized merges (no change); a shared decode arena with
 // integer cursors instead of slice headers (no change, 1.47).
-// Skewed pairs never enter the lockstep at all — fillStream peels
-// them to gallopDecoded, the same policy the flat kernels apply.
+// Empty and skewed pairs never enter the lockstep at all — fillStream
+// answers them through mergeRuns, the same dispatch flat queries use.
 
 // batchScratch holds the decoded runs of the two pairs a batch keeps
-// in flight: slots 0,1 for stream 0, slots 2,3 for stream 1. Buffers
-// grow to the longest run seen and are recycled through a pool so
-// concurrent server shards never share or reallocate them.
+// in flight: slots 0,1 for stream 0, slots 2,3 for stream 1 (a single
+// Query uses slots 0,1). Buffers grow to the longest run seen and are
+// recycled through a pool so concurrent server shards never share or
+// reallocate them.
 type batchScratch struct {
-	id [4][]int32
+	id [4][]graph.NodeID
 	d  [4][]graph.Weight
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// decodeRun decodes vertex v's run into ids/ds (grown as needed),
-// returning the filled slices. Escape codes take the outlined slow
-// path; everything else is a two-byte load and two adds per entry.
+// decodeRun decodes vertex v's run into ids/ds (grown as needed) and
+// closes it with a sentinel slot (flatSentinel, Infinity), returning the
+// filled slices — LabelLen(v)+1 entries long, so the merge core can run
+// on them unchanged. Escape codes take the outlined slow path;
+// everything else is a two-byte load and two adds per entry.
 // Bounds come from the validated offsets/escOff arrays, so on a
 // hostile quick-validated view this degrades to wrong decoded values,
-// never to out-of-bounds access.
-func (c *CompactLabeling) decodeRun(v graph.NodeID, ids []int32, ds []graph.Weight) ([]int32, []graph.Weight) {
+// never to out-of-bounds access: a hostile value equal to the sentinel
+// can only end a linear merge early, since each decoded run still ends
+// in a real sentinel slot.
+func (c *CompactLabeling) decodeRun(v graph.NodeID, ids []graph.NodeID, ds []graph.Weight) ([]graph.NodeID, []graph.Weight) {
 	if c.wide {
 		return c.decodeRunWide(v, ids, ds)
 	}
 	return c.decodeRunNarrow(v, ids, ds)
 }
 
-func (c *CompactLabeling) decodeRunNarrow(v graph.NodeID, ids []int32, ds []graph.Weight) ([]int32, []graph.Weight) {
+func (c *CompactLabeling) decodeRunNarrow(v graph.NodeID, ids []graph.NodeID, ds []graph.Weight) ([]graph.NodeID, []graph.Weight) {
 	i0, i1 := c.offsets[v], c.offsets[v+1]
 	hd, dd := c.hubDelta[i0:i1], c.distDelta[i0:i1]
 	esc, e := c.esc, c.escOff[v]
 	ln := len(hd)
-	if cap(ids) < ln {
-		ids = make([]int32, ln)
-		ds = make([]graph.Weight, ln)
+	dd = dd[:ln] // equal lengths, restated so the loop's dd loads need no bounds checks
+	if cap(ids) <= ln {
+		ids = make([]graph.NodeID, ln+1)
+		ds = make([]graph.Weight, ln+1)
 	}
-	ids, ds = ids[:ln], ds[:ln]
+	ids, ds = ids[:ln+1], ds[:ln+1]
+	ids[ln], ds[ln] = flatSentinel, graph.Infinity
 	r, d := int32(-1), graph.Weight(0)
 	k := 0
 	for ; k+1 < ln; k += 2 {
@@ -106,16 +113,17 @@ func (c *CompactLabeling) decodeRunNarrow(v graph.NodeID, ids []int32, ds []grap
 	return ids, ds
 }
 
-func (c *CompactLabeling) decodeRunWide(v graph.NodeID, ids []int32, ds []graph.Weight) ([]int32, []graph.Weight) {
+func (c *CompactLabeling) decodeRunWide(v graph.NodeID, ids []graph.NodeID, ds []graph.Weight) ([]graph.NodeID, []graph.Weight) {
 	i0, i1 := c.offsets[v], c.offsets[v+1]
 	hd, dd := c.hubDelta[i0:i1], c.distDelta[2*i0:2*i1]
 	esc, e := c.esc, c.escOff[v]
 	ln := len(hd)
-	if cap(ids) < ln {
-		ids = make([]int32, ln)
-		ds = make([]graph.Weight, ln)
+	if cap(ids) <= ln {
+		ids = make([]graph.NodeID, ln+1)
+		ds = make([]graph.Weight, ln+1)
 	}
-	ids, ds = ids[:ln], ds[:ln]
+	ids, ds = ids[:ln+1], ds[:ln+1]
+	ids[ln], ds[ln] = flatSentinel, graph.Infinity
 	r, d := int32(-1), graph.Weight(0)
 	for k := 0; k < ln; k++ {
 		hb := hd[k]
@@ -133,80 +141,10 @@ func (c *CompactLabeling) decodeRunWide(v graph.NodeID, ids []int32, ds []graph.
 	return ids, ds
 }
 
-// mergeDecoded merges two decoded runs with the branch-reduced linear
-// scan, starting from cursors i, j with a carried-in best.
-func mergeDecoded(idA []int32, dA []graph.Weight, idB []int32, dB []graph.Weight, i, j int, best graph.Weight) graph.Weight {
-	for i < len(idA) && j < len(idB) {
-		a, b := idA[i], idB[j]
-		if a == b {
-			if d := dA[i] + dB[j]; d < best {
-				best = d
-			}
-			i++
-			j++
-		} else {
-			lt := int(uint64(int64(a)-int64(b)) >> 63)
-			i += lt
-			j += 1 - lt
-		}
-	}
-	return best
-}
-
-// gallopDecoded is mergeGallop over decoded scratch: each short-run
-// rank probes the long run exponentially, then binary-searches the
-// overshot window. Dispatched when skewed() fires on the decoded
-// lengths, so compact batches keep the same skew behavior as the flat
-// kernels.
-func gallopDecoded(idS []int32, dS []graph.Weight, idL []int32, dL []graph.Weight) graph.Weight {
-	best := graph.Infinity
-	si, li := 0, 0
-	for si < len(idS) && li < len(idL) {
-		h := idS[si]
-		if idL[li] < h {
-			step := 1
-			for li+step < len(idL) && idL[li+step] < h {
-				li += step
-				step <<= 1
-			}
-			lo, hi := li+1, li+step
-			if hi > len(idL) {
-				hi = len(idL)
-			}
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if idL[mid] < h {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			li = lo
-			if li >= len(idL) {
-				break
-			}
-		}
-		if idL[li] == h {
-			if d := dS[si] + dL[li]; d < best {
-				best = d
-			}
-			li++
-		}
-		si++
-	}
-	return best
-}
-
-// batchKernel selects the batched merge structure; settable from the
-// measurement harness (export_test.go) to A/B the variants on the
-// same fixture. 0 = lockstep pair merge with serial drains (default),
-// 1 = per-pair scalar merge over decoded scratch (the baseline the
-// lockstep is measured against).
-var batchKernel = 0
-
 // fillStream decodes the next mergeable pair into slot group s,
-// answering empty and skewed pairs inline; returns the pair index and
-// the next cursor, or ok=false when the batch is exhausted.
+// answering empty and skewed pairs inline through mergeRuns; returns the
+// pair index and the next cursor, or ok=false when the batch is
+// exhausted.
 func (c *CompactLabeling) fillStream(sc *batchScratch, pairs [][2]graph.NodeID, out []graph.Weight, next, s int) (o, nxt int, ok bool) {
 	for next < len(pairs) {
 		p := pairs[next]
@@ -214,35 +152,30 @@ func (c *CompactLabeling) fillStream(sc *batchScratch, pairs [][2]graph.NodeID, 
 		next++
 		sc.id[s], sc.d[s] = c.decodeRun(p[0], sc.id[s], sc.d[s])
 		sc.id[s+1], sc.d[s+1] = c.decodeRun(p[1], sc.id[s+1], sc.d[s+1])
-		la, lb := len(sc.id[s]), len(sc.id[s+1])
-		if la == 0 || lb == 0 {
-			out[o] = graph.Infinity
-			continue
+		la, lb := len(sc.id[s])-1, len(sc.id[s+1])-1
+		if _, sk := skewed(la, lb); la > 0 && lb > 0 && !sk {
+			return o, next, true
 		}
-		if swap, sk := skewed(la, lb); sk {
-			if swap {
-				out[o] = gallopDecoded(sc.id[s+1], sc.d[s+1], sc.id[s], sc.d[s])
-			} else {
-				out[o] = gallopDecoded(sc.id[s], sc.d[s], sc.id[s+1], sc.d[s+1])
-			}
-			continue
-		}
-		return o, next, true
+		out[o] = mergeRuns(sc.id[s], sc.d[s], la, sc.id[s+1], sc.d[s+1], lb, graph.Infinity)
 	}
 	return 0, next, false
 }
 
-// mergeDecodedPair runs slots 0,1 and 2,3 in lockstep until either
-// stream exhausts, then drains each serially. The two merges carry no
-// data dependence on each other, so their load→advance chains overlap
-// in the pipeline — the overlap the byte-decoding interleave could
-// never reach.
-func mergeDecodedPair(sc *batchScratch) (graph.Weight, graph.Weight) {
+// mergeLockstepPair runs slots 0,1 and 2,3 in lockstep until any run
+// is exhausted, then drains each pair's tails through mergeRuns, like
+// the flat batch's mergeRest: the exhausted pair returns at once
+// instead of walking its other run's tail to the sentinel (measurably
+// slower than stopping, on gnm10k), and a skewed tail gallops. The two
+// merges carry no data dependence on each other, so their load→advance
+// chains overlap in the pipeline — the overlap the byte-decoding
+// interleave could never reach.
+func mergeLockstepPair(sc *batchScratch) (graph.Weight, graph.Weight) {
 	b0, b1 := graph.Infinity, graph.Infinity
 	idA0, dA0, idB0, dB0 := sc.id[0], sc.d[0], sc.id[1], sc.d[1]
 	idA1, dA1, idB1, dB1 := sc.id[2], sc.d[2], sc.id[3], sc.d[3]
+	la0, lb0, la1, lb1 := len(idA0)-1, len(idB0)-1, len(idA1)-1, len(idB1)-1
 	i0, j0, i1, j1 := 0, 0, 0, 0
-	for i0 < len(idA0) && j0 < len(idB0) && i1 < len(idA1) && j1 < len(idB1) {
+	for i0 < la0 && j0 < lb0 && i1 < la1 && j1 < lb1 {
 		a0, c0 := idA0[i0], idB0[j0]
 		a1, c1 := idA1[i1], idB1[j1]
 		if a0 == c0 {
@@ -268,8 +201,8 @@ func mergeDecodedPair(sc *batchScratch) (graph.Weight, graph.Weight) {
 			j1 += 1 - lt
 		}
 	}
-	b0 = mergeDecoded(idA0, dA0, idB0, dB0, i0, j0, b0)
-	b1 = mergeDecoded(idA1, dA1, idB1, dB1, i1, j1, b1)
+	b0 = mergeRuns(idA0[i0:], dA0[i0:], la0-i0, idB0[j0:], dB0[j0:], lb0-j0, b0)
+	b1 = mergeRuns(idA1[i1:], dA1[i1:], la1-i1, idB1[j1:], dB1[j1:], lb1-j1, b1)
 	return b0, b1
 }
 
@@ -285,24 +218,10 @@ func (c *CompactLabeling) queryBatchLockstep(sc *batchScratch, pairs [][2]graph.
 		}
 		o1, nxt2, ok := c.fillStream(sc, pairs, out, nxt, 2)
 		if !ok {
-			out[o0] = mergeDecoded(sc.id[0], sc.d[0], sc.id[1], sc.d[1], 0, 0, graph.Infinity)
+			out[o0] = mergeLinear(sc.id[0], sc.d[0], sc.id[1], sc.d[1], graph.Infinity)
 			return
 		}
 		next = nxt2
-		out[o0], out[o1] = mergeDecodedPair(sc)
-	}
-}
-
-// queryBatchScalarMerge is the one-merge-at-a-time baseline over the
-// same decoded scratch; kept for the A/B measurement harness.
-func (c *CompactLabeling) queryBatchScalarMerge(sc *batchScratch, pairs [][2]graph.NodeID, out []graph.Weight) {
-	next := 0
-	for {
-		o, nxt, ok := c.fillStream(sc, pairs, out, next, 0)
-		if !ok {
-			return
-		}
-		next = nxt
-		out[o] = mergeDecoded(sc.id[0], sc.d[0], sc.id[1], sc.d[1], 0, 0, graph.Infinity)
+		out[o0], out[o1] = mergeLockstepPair(sc)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"hublab/internal/graph"
@@ -137,7 +138,10 @@ func TestCompactWideSelection(t *testing.T) {
 // answers byte-identical between the two representations on every
 // fixture, sampling all pairs on the small ones.
 func TestCompactQueryAgreement(t *testing.T) {
-	for _, tc := range compactFixtures(t) {
+	fixtures := append(compactFixtures(t),
+		compactFixture{"skewed-empty-narrow", skewedEmptyFlat(t, 60)},
+		compactFixture{"skewed-empty-wide", skewedEmptyFlat(t, 1<<27)})
+	for _, tc := range fixtures {
 		t.Run(tc.name, func(t *testing.T) {
 			c := CompactFromFlat(tc.f)
 			n := tc.f.NumVertices()
@@ -148,6 +152,9 @@ func TestCompactQueryAgreement(t *testing.T) {
 					break
 				}
 				pairs = append(pairs, [2]graph.NodeID{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))})
+			}
+			if strings.HasPrefix(tc.name, "skewed-empty") {
+				pairs = append(pairs, skewAndEmptyPairs(t, tc.f, c)...)
 			}
 			for _, p := range pairs {
 				fd, fok := tc.f.Query(p[0], p[1])
@@ -203,6 +210,97 @@ func TestCompactQueryAgreement(t *testing.T) {
 				idBuf, dBuf = cids[:0], cds[:0]
 			}
 		})
+	}
+}
+
+// skewedEmptyFlat builds the dispatch edge cases of the merge core:
+// every 9th vertex has an empty label, every 13th a run far longer than
+// gallopRatio times the 1–4 entries the others carry. Hub 1 is shared
+// by every non-empty label so most pairs connect. maxDist picks the
+// compact distance column: small bounds stay narrow, 1<<27 goes wide.
+func skewedEmptyFlat(t testing.TB, maxDist int32) *FlatLabeling {
+	t.Helper()
+	const n = 300
+	rng := rand.New(rand.NewSource(int64(maxDist)))
+	l := NewLabeling(n)
+	for v := 0; v < n; v++ {
+		if v%9 == 0 {
+			continue
+		}
+		vid := graph.NodeID(v)
+		l.Add(vid, vid, 0)
+		if v != 1 {
+			l.Add(vid, 1, graph.Weight(1+rng.Int31n(maxDist)))
+		}
+		per := 1 + rng.Intn(4)
+		if v%13 == 0 {
+			per = 40 * gallopRatio
+		}
+		for k := 0; k < per; k++ {
+			if h := graph.NodeID(rng.Intn(n)); h != vid && h != 1 {
+				l.Add(vid, h, graph.Weight(rng.Int31n(maxDist)))
+			}
+		}
+	}
+	l.Canonicalize()
+	return l.Freeze()
+}
+
+// skewAndEmptyPairs pairs every vertex with the longest-run vertex in
+// both orientations, and checks the list reaches the dispatch cases
+// the random pairs might miss: skewed pairs (each appended with the
+// long run first and second) and an empty run. It also pins the width
+// the fixture was built for.
+func skewAndEmptyPairs(t *testing.T, f *FlatLabeling, c *CompactLabeling) [][2]graph.NodeID {
+	t.Helper()
+	n := f.NumVertices()
+	long := graph.NodeID(0)
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		if f.LabelLen(v) > f.LabelLen(long) {
+			long = v
+		}
+	}
+	var pairs [][2]graph.NodeID
+	var skewedPairs, empty int
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		pairs = append(pairs, [2]graph.NodeID{long, v}, [2]graph.NodeID{v, long})
+		if lb := f.LabelLen(v); lb == 0 {
+			empty++
+		} else if _, ok := skewed(f.LabelLen(long), lb); ok {
+			skewedPairs++
+		}
+	}
+	if skewedPairs == 0 || empty == 0 {
+		t.Fatalf("pairs miss a dispatch case: %d skewed, %d empty", skewedPairs, empty)
+	}
+	if wantWide := strings.HasSuffix(t.Name(), "wide"); c.Wide() != wantWide {
+		t.Fatalf("fixture built for wide=%v encodes wide=%v", wantWide, c.Wide())
+	}
+	return pairs
+}
+
+// TestCompactQueryAllocs pins compact Query's steady state at zero
+// allocations in both widths and on the skewed (gallop) path: the
+// decode scratch comes from a pool and is only grown, never replaced.
+func TestCompactQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race-mode sync.Pool drops Puts, so pooled scratch shows phantom allocations")
+	}
+	for _, maxDist := range []int32{60, 1 << 27} {
+		f := skewedEmptyFlat(t, maxDist)
+		c := CompactFromFlat(f)
+		pairs := [][2]graph.NodeID{{13, 14}, {14, 13}, {2, 3}, {9, 10}, {26, 39}}
+		for _, p := range pairs {
+			c.Query(p[0], p[1]) // grow the pooled scratch
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			for _, p := range pairs {
+				c.Query(p[0], p[1])
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("wide=%v: compact Query allocates %.1f per round", c.Wide(), allocs)
+		}
 	}
 }
 

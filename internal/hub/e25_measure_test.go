@@ -74,12 +74,7 @@ func TestE25PremiumMeasure(t *testing.T) {
 	out := make([]graph.Weight, len(pairs))
 	const rounds = 10
 	const reps = 30
-	kernels := []int{0, 1}
-	minE := time.Duration(1 << 62)
-	minC := map[int]time.Duration{}
-	for _, k := range kernels {
-		minC[k] = 1 << 62
-	}
+	minE, minC := time.Duration(1<<62), time.Duration(1<<62)
 	for r := 0; r < rounds; r++ {
 		t0 := time.Now()
 		for i := 0; i < reps; i++ {
@@ -88,19 +83,15 @@ func TestE25PremiumMeasure(t *testing.T) {
 		if e := time.Since(t0); e < minE {
 			minE = e
 		}
-		for _, k := range kernels {
-			hub.SetBatchKernelForTest(k)
-			t0 = time.Now()
-			for i := 0; i < reps; i++ {
-				compact.QueryBatch(pairs, out)
-			}
-			if c := time.Since(t0); c < minC[k] {
-				minC[k] = c
-			}
+		t0 = time.Now()
+		for i := 0; i < reps; i++ {
+			compact.QueryBatch(pairs, out)
+		}
+		if c := time.Since(t0); c < minC {
+			minC = c
 		}
 	}
-	hub.SetBatchKernelForTest(0)
-	var ids0, ids1 []int32
+	var ids0, ids1 []graph.NodeID
 	var ds0, ds1 []graph.Weight
 	minD := time.Duration(1 << 62)
 	for r := 0; r < rounds; r++ {
@@ -120,7 +111,5 @@ func TestE25PremiumMeasure(t *testing.T) {
 	perQ := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(reps*len(pairs)) }
 	t.Logf("expanded       %6.0f ns/q", perQ(minE))
 	t.Logf("decode-only    %6.0f ns/q", perQ(minD))
-	for _, k := range kernels {
-		t.Logf("compact k=%d    %6.0f ns/q  premium %.3f", k, perQ(minC[k]), float64(minC[k])/float64(minE))
-	}
+	t.Logf("compact        %6.0f ns/q  premium %.3f", perQ(minC), float64(minC)/float64(minE))
 }

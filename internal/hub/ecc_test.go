@@ -124,7 +124,7 @@ func TestEccIndexOvershootRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := pll.Build(g, pll.Options{Order: pll.OrderNatural})
+	l, err := pll.Build(g, pll.Options{OrderBy: "natural"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,7 @@ package hub
 
 import "hublab/internal/graph"
 
-// SetBatchKernelForTest switches the compact QueryBatch merge
-// structure for A/B measurement.
-func SetBatchKernelForTest(k int) { batchKernel = k }
-
-// DecodeRunForTest exposes the batch decode loop for split timing.
-func (c *CompactLabeling) DecodeRunForTest(v graph.NodeID, ids []int32, ds []graph.Weight) ([]int32, []graph.Weight) {
+// DecodeRunForTest exposes the run decoder for split timing.
+func (c *CompactLabeling) DecodeRunForTest(v graph.NodeID, ids []graph.NodeID, ds []graph.Weight) ([]graph.NodeID, []graph.Weight) {
 	return c.decodeRun(v, ids, ds)
 }

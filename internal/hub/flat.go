@@ -269,57 +269,14 @@ func (f *FlatLabeling) LabelDists(v graph.NodeID) []graph.Weight {
 }
 
 // Query decodes the distance between u and v by merging the two
-// sentinel-terminated runs. It performs zero allocations and returns
-// Infinity and false when the labels share no hub.
-//
-// The scan is branch-reduced: hub ids of distinct labels compare
-// unpredictably, so the advance of the smaller cursor is computed from the
-// sign bit of the id difference instead of a data-dependent branch; the
-// only branches left (match, sentinel) are rare and well predicted. The
-// sentinel is the maximum id, so no length checks are needed: when one
-// run is exhausted the other side advances to its own sentinel and the
-// cursors meet there.
-//
-// Skewed pairs — one run at least gallopRatio× longer than the other —
-// are routed to the galloping kernel instead (see skew.go), which skips
-// the long run in O(short·log long) probes.
+// sentinel-terminated runs with the shared merge core (merge.go):
+// balanced pairs take the branch-reduced linear scan, skewed pairs — one
+// run at least gallopRatio× longer than the other — the galloping probe.
+// It performs zero allocations and returns Infinity and false when the
+// labels share no hub.
 func (f *FlatLabeling) Query(u, v graph.NodeID) (graph.Weight, bool) {
-	i, j := int(f.offsets[u]), int(f.offsets[v])
-	iEnd, jEnd := int(f.offsets[u+1])-1, int(f.offsets[v+1])-1
-	if swap, ok := skewed(iEnd-i, jEnd-j); ok {
-		var best graph.Weight
-		if swap {
-			best = f.mergeGallop(j, jEnd, i, iEnd, graph.Infinity)
-		} else {
-			best = f.mergeGallop(i, iEnd, j, jEnd, graph.Infinity)
-		}
-		return best, best < graph.Infinity
-	}
-	ids, ds := f.hubIDs, f.dists
-	best := graph.Infinity
-	for {
-		a, b := ids[i], ids[j]
-		if a == b {
-			if a == flatSentinel {
-				break
-			}
-			if d := ds[i] + ds[j]; d < best {
-				best = d
-			}
-			i++
-			j++
-			continue
-		}
-		// lt = 1 iff a < b. The subtraction is widened to int64 so it can
-		// never overflow — not an idle precaution: the sentinel is the
-		// maximum *signed* id, so on a quick-validated mmap view whose
-		// interior a hostile writer controls, overflow-correct ordering is
-		// exactly what pins every cursor at or before its final sentinel
-		// slot (see validateOffsets for the termination argument).
-		lt := int(uint64(int64(a)-int64(b)) >> 63)
-		i += lt
-		j += 1 - lt
-	}
+	best := f.mergeRest(int(f.offsets[u]), int(f.offsets[u+1])-1,
+		int(f.offsets[v]), int(f.offsets[v+1])-1, graph.Infinity)
 	return best, best < graph.Infinity
 }
 
@@ -330,17 +287,17 @@ func (f *FlatLabeling) Query(u, v graph.NodeID) (graph.Weight, bool) {
 func (f *FlatLabeling) QueryVia(u, v graph.NodeID) (graph.Weight, graph.NodeID, bool) {
 	i, j := int(f.offsets[u]), int(f.offsets[v])
 	iEnd, jEnd := int(f.offsets[u+1])-1, int(f.offsets[v+1])-1
+	ids, ds := f.hubIDs, f.dists
 	if swap, ok := skewed(iEnd-i, jEnd-j); ok {
 		var best graph.Weight
 		var via graph.NodeID
 		if swap {
-			best, via = f.mergeGallopVia(j, jEnd, i, iEnd)
+			best, via = mergeGallopVia(ids[j:jEnd], ds[j:jEnd], ids[i:iEnd], ds[i:iEnd], graph.Infinity)
 		} else {
-			best, via = f.mergeGallopVia(i, iEnd, j, jEnd)
+			best, via = mergeGallopVia(ids[i:iEnd], ds[i:iEnd], ids[j:jEnd], ds[j:jEnd], graph.Infinity)
 		}
 		return best, via, via >= 0
 	}
-	ids, ds := f.hubIDs, f.dists
 	best := graph.Infinity
 	via := graph.NodeID(-1)
 	for {
@@ -482,41 +439,14 @@ func (f *FlatLabeling) QueryBatch(pairs [][2]graph.NodeID, out []graph.Weight) {
 	out[s[1].o] = f.mergeRest(s[1].i, s[1].iEnd, s[1].j, s[1].jEnd, s[1].best)
 }
 
-// mergeRest continues a single merge from saved cursors. The remaining
-// tails decide the kernel: skewed tails gallop, balanced tails run the
-// sentinel-terminated linear scan (which never consults the ends).
+// mergeRest continues a single merge from saved cursors (run ends
+// exclusive of the sentinel) through the shared dispatch. The tails it
+// passes run to the end of the columns, not to the run ends, so the
+// linear scan's termination rests only on the final sentinel that
+// validateOffsets guarantees even on a quick-validated view.
 func (f *FlatLabeling) mergeRest(i, iEnd, j, jEnd int, best graph.Weight) graph.Weight {
-	if swap, ok := skewed(iEnd-i, jEnd-j); ok {
-		if swap {
-			return f.mergeGallop(j, jEnd, i, iEnd, best)
-		}
-		return f.mergeGallop(i, iEnd, j, jEnd, best)
-	}
-	return f.mergeLinear(i, j, best)
-}
-
-// mergeLinear is the branch-reduced sentinel-terminated scan from saved
-// cursors — the balanced-tail half of mergeRest, and the baseline the
-// gallop crossover benchmark measures against.
-func (f *FlatLabeling) mergeLinear(i, j int, best graph.Weight) graph.Weight {
 	ids, ds := f.hubIDs, f.dists
-	for {
-		a, b := ids[i], ids[j]
-		if a == b {
-			if a == flatSentinel {
-				return best
-			}
-			if d := ds[i] + ds[j]; d < best {
-				best = d
-			}
-			i++
-			j++
-			continue
-		}
-		lt := int(uint64(int64(a)-int64(b)) >> 63)
-		i += lt
-		j += 1 - lt
-	}
+	return mergeRuns(ids[i:], ds[i:], iEnd-i, ids[j:], ds[j:], jEnd-j, best)
 }
 
 // ComputeStats returns size statistics for the flat labeling (sentinels
@@ -667,17 +597,19 @@ func (f *FlatLabeling) Validate() error { return f.validate() }
 //
 //   - lengths agree and offsets form a monotone, in-bounds cover with
 //     non-empty runs, so every slice a query takes (LabelIDs, LabelDists,
-//     nextHop, Thaw) is within the arrays;
+//     nextHop, Thaw, the gallop windows) is within the arrays;
 //   - the very last slot holds the sentinel, the maximum signed int32.
 //     A merge cursor advances only while strictly below the other
 //     cursor's value under overflow-safe signed comparison (the widened
-//     advance in Query and friends — a hostile negative id must order
-//     below the sentinel, not wrap past it), or on an equal non-sentinel
-//     match; a cursor sitting on the final slot therefore carries the
-//     maximum value and can never advance again, and two cursors meeting
-//     there terminate the scan. No interior sentinel is needed for
-//     safety — interior checks exist for integrity, in validateRuns and
-//     validateEntries.
+//     advance in mergeLinear and the QueryVia/QueryBatch scans — a
+//     hostile negative id must order below the sentinel, not wrap past
+//     it), or on an equal non-sentinel match; a cursor sitting on the
+//     final slot therefore carries the maximum value and can never
+//     advance again, and two cursors meeting there terminate the scan. A
+//     cursor that overran its run leaves mergeRest a negative remaining
+//     length, which mergeRuns answers without slicing. No interior
+//     sentinel is needed for safety — interior checks exist for
+//     integrity, in validateRuns and validateEntries.
 //
 // Hostile interiors past these checks can only produce wrong answers
 // (the quick-open trust model, see OpenStoreMmap), never an

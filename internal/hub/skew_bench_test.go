@@ -39,16 +39,17 @@ func BenchmarkE25SkewCrossover(b *testing.B) {
 	const shortLen = 16
 	for _, ratio := range []int{2, 4, 8, 16, 32, 64} {
 		f := skewPairFixture(b, shortLen, shortLen*ratio)
+		ids, ds := f.hubIDs, f.dists
 		i0, i1 := int(f.offsets[0]), int(f.offsets[1])-1
 		j0, j1 := int(f.offsets[1]), int(f.offsets[2])-1
 		b.Run(fmt.Sprintf("linear/r%d", ratio), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchSkewSink = f.mergeLinear(i0, j0, graph.Infinity)
+				benchSkewSink = mergeLinear(ids[i0:], ds[i0:], ids[j0:], ds[j0:], graph.Infinity)
 			}
 		})
 		b.Run(fmt.Sprintf("gallop/r%d", ratio), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchSkewSink = f.mergeGallop(i0, i1, j0, j1, graph.Infinity)
+				benchSkewSink = mergeGallop(ids[i0:i1], ds[i0:i1], ids[j0:j1], ds[j0:j1], graph.Infinity)
 			}
 		})
 	}

@@ -119,26 +119,29 @@ func TestGallopKernelDirect(t *testing.T) {
 		v := graph.NodeID(rng.Intn(n))
 		iu, ju := int(f.offsets[u]), int(f.offsets[u+1])-1
 		iv, jv := int(f.offsets[v]), int(f.offsets[v+1])-1
+		idU, dU := f.hubIDs[iu:ju], f.dists[iu:ju]
+		idV, dV := f.hubIDs[iv:jv], f.dists[iv:jv]
 		want, _ := refQueryVia(f, u, v)
-		if got := f.mergeGallop(iu, ju, iv, jv, graph.Infinity); got != want {
+		if got := mergeGallop(idU, dU, idV, dV, graph.Infinity); got != want {
 			t.Fatalf("mergeGallop(u-short) (%d,%d) = %d want %d", u, v, got, want)
 		}
-		if got := f.mergeGallop(iv, jv, iu, ju, graph.Infinity); got != want {
+		if got := mergeGallop(idV, dV, idU, dU, graph.Infinity); got != want {
 			t.Fatalf("mergeGallop(v-short) (%d,%d) = %d want %d", u, v, got, want)
 		}
-		if got, via := f.mergeGallopVia(iu, ju, iv, jv); got != want {
+		if got, via := mergeGallopVia(idU, dU, idV, dV, graph.Infinity); got != want {
 			t.Fatalf("mergeGallopVia (%d,%d) = %d,%d want %d", u, v, got, via, want)
 		}
 		// A best carried in from a partial linear scan must only improve.
-		if got := f.mergeGallop(iu, ju, iv, jv, 1); got > 1 {
+		if got := mergeGallop(idU, dU, idV, dV, 1); got > 1 {
 			t.Fatalf("mergeGallop ignored carried-in best: %d", got)
 		}
 	}
 	// Empty windows terminate immediately with the carried best.
-	if got := f.mergeGallop(3, 3, 0, int(f.offsets[1])-1, 42); got != 42 {
+	end0 := int(f.offsets[1]) - 1
+	if got := mergeGallop(f.hubIDs[3:3], f.dists[3:3], f.hubIDs[:end0], f.dists[:end0], 42); got != 42 {
 		t.Fatalf("empty short window: %d want 42", got)
 	}
-	if got := f.mergeGallop(0, int(f.offsets[1])-1, 5, 5, 42); got != 42 {
+	if got := mergeGallop(f.hubIDs[:end0], f.dists[:end0], f.hubIDs[5:5], f.dists[5:5], 42); got != 42 {
 		t.Fatalf("empty long window: %d want 42", got)
 	}
 }

@@ -23,13 +23,16 @@ import (
 // agree entry for entry. What differs is storage layout, SpaceBytes,
 // and the per-representation invariants documented on each method.
 //
-// Kernel assumptions per representation (what the merge/path/ecc code
-// may rely on) are part of each concrete type's contract, not of this
-// interface: the flat kernel assumes sentinel-terminated runs and
-// offsets validated by validateOffsets; the compact kernel assumes
-// monotone entry/escape CSRs and a remap table validated to be a
-// permutation, and bounds-checks every escape-slot read. Both therefore
-// stay memory-safe on quick-validated mmap views with hostile
+// Both representations answer distances through one merge core
+// (merge.go), which needs two hub-sorted runs each followed by a
+// sentinel slot. What each representation may assume to feed it is
+// part of the concrete type's contract, not of this interface: the
+// flat layout passes column tails and relies only on offsets validated
+// by validateOffsets, whose final slot holds the sentinel; the compact
+// layout decodes runs into scratch and appends the sentinel itself,
+// relying on monotone entry/escape CSRs and a remap table validated to
+// be a permutation, and bounds-checks every escape-slot read. Both
+// therefore stay memory-safe on quick-validated mmap views with hostile
 // interiors — wrong answers are possible there, out-of-bounds access is
 // not (see OpenStoreMmap for the trust model).
 type LabelStore interface {

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"hublab/internal/graph"
-	"hublab/internal/hub"
 	"hublab/internal/index"
 )
 
@@ -41,9 +40,6 @@ func NewMatrix(g *graph.Graph) (*Matrix, error) { return index.NewMatrix(g) }
 
 // NewLabels builds a PLL-backed oracle.
 func NewLabels(g *graph.Graph) (*Labels, error) { return index.NewHubLabels(g) }
-
-// NewLabelsFrom wraps an existing labeling, freezing it if necessary.
-func NewLabelsFrom(l *hub.Labeling) *Labels { return index.NewHubLabelsFrom(l) }
 
 // NewSearch wraps the graph.
 func NewSearch(g *graph.Graph) *Search { return index.NewSearch(g) }

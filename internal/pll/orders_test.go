@@ -66,7 +66,7 @@ func TestSeparatorOrderBeatsDegreeOnGrid(t *testing.T) {
 	if err := bySep.VerifyCover(g); err != nil {
 		t.Fatalf("separator labeling invalid: %v", err)
 	}
-	byDeg, err := Build(g, Options{Order: OrderDegree})
+	byDeg, err := Build(g, Options{OrderBy: "degree"})
 	if err != nil {
 		t.Fatalf("Build(degree): %v", err)
 	}
@@ -93,7 +93,7 @@ func TestHighwayOrderBeatsDegreeOnRoad(t *testing.T) {
 	if err := byHwy.VerifyCover(g); err != nil {
 		t.Fatalf("highway labeling invalid: %v", err)
 	}
-	byDeg, err := Build(g, Options{Order: OrderDegree})
+	byDeg, err := Build(g, Options{OrderBy: "degree"})
 	if err != nil {
 		t.Fatalf("Build(degree): %v", err)
 	}

@@ -16,8 +16,6 @@ package pll
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"sort"
 
 	"hublab/internal/graph"
 	"hublab/internal/hub"
@@ -27,17 +25,6 @@ import (
 
 // ErrBadOrder reports an order that is not a permutation of the vertices.
 var ErrBadOrder = errors.New("pll: order is not a permutation of V")
-
-// Order enumerates vertex orders for the landmark processing priority.
-type Order int
-
-// Supported orders. Degree order (hubs first at high-degree vertices) is the
-// standard default; random and natural orders exist for ablations.
-const (
-	OrderDegree Order = iota + 1
-	OrderRandom
-	OrderNatural
-)
 
 // Progress carries running counters of a build, delivered to
 // Options.Progress so hour-scale builds are observable.
@@ -49,16 +36,16 @@ type Progress struct {
 
 // Options configures Build.
 type Options struct {
-	// Order selects the built-in processing order (default OrderDegree).
-	Order Order
-	// Seed drives OrderRandom and the seeded registry orders (OrderBy).
-	Seed int64
-	// OrderBy, when non-empty, selects a registered order by name
+	// OrderBy selects the landmark processing order by registered name
 	// (RegisterOrder; built-ins: "degree", "random", "natural",
-	// "betweenness") and takes precedence over Order.
+	// "betweenness"). Empty means "degree" — hubs first at high-degree
+	// vertices, the standard default; random and natural exist for
+	// ablations.
 	OrderBy string
-	// Custom, when non-nil, overrides Order and OrderBy: vertices are
-	// processed in the given sequence, which must be a permutation of V.
+	// Seed drives the seeded registry orders ("random", "betweenness").
+	Seed int64
+	// Custom, when non-nil, overrides OrderBy: vertices are processed in
+	// the given sequence, which must be a permutation of V.
 	Custom []graph.NodeID
 	// Workers selects build parallelism: 0 uses the par pool default
 	// (NumCPU, or the par.SetWorkers override), 1 forces the sequential
@@ -122,25 +109,11 @@ func buildOrder(g *graph.Graph, opts Options) ([]graph.NodeID, error) {
 		}
 		return opts.Custom, nil
 	}
-	if opts.OrderBy != "" {
-		return OrderByName(g, opts.OrderBy, opts.Seed)
+	name := opts.OrderBy
+	if name == "" {
+		name = "degree"
 	}
-	order := make([]graph.NodeID, n)
-	for i := range order {
-		order[i] = graph.NodeID(i)
-	}
-	switch opts.Order {
-	case OrderRandom:
-		rng := rand.New(rand.NewSource(opts.Seed))
-		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-	case OrderNatural:
-		// keep as-is
-	default: // OrderDegree
-		sort.SliceStable(order, func(i, j int) bool {
-			return g.Degree(order[i]) > g.Degree(order[j])
-		})
-	}
-	return order, nil
+	return OrderByName(g, name, opts.Seed)
 }
 
 // progressStride is how often (in roots) the sequential builder reports

@@ -38,9 +38,9 @@ func TestBuildOrders(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"degree", Options{Order: OrderDegree}},
-		{"random", Options{Order: OrderRandom, Seed: 3}},
-		{"natural", Options{Order: OrderNatural}},
+		{"degree", Options{OrderBy: "degree"}},
+		{"random", Options{OrderBy: "random", Seed: 3}},
+		{"natural", Options{OrderBy: "natural"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			l, err := Build(g, tc.opts)
@@ -170,7 +170,7 @@ func TestPLLMatchesBFS(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		l, err := Build(g, Options{Order: OrderDegree})
+		l, err := Build(g, Options{OrderBy: "degree"})
 		if err != nil {
 			return false
 		}
@@ -200,7 +200,7 @@ func TestPLLWeightedMatchesDijkstra(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		l, err := Build(g, Options{Order: OrderRandom, Seed: seed})
+		l, err := Build(g, Options{OrderBy: "random", Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -225,7 +225,7 @@ func TestDegreeOrderLabelQuality(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	l, err := Build(g, Options{Order: OrderDegree})
+	l, err := Build(g, Options{OrderBy: "degree"})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}

@@ -167,7 +167,7 @@ func (gp *GraphProtocol) NewSession(in Instance) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	labeling, err := pll.Build(pruned, pll.Options{Order: pll.OrderDegree})
+	labeling, err := pll.Build(pruned, pll.Options{OrderBy: "degree"})
 	if err != nil {
 		return nil, err
 	}

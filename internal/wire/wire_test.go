@@ -240,6 +240,61 @@ func TestHostileFrames(t *testing.T) {
 	}
 }
 
+// TestBatchLimitBoundary pins the MaxBatch bound exactly on all four
+// codec ends: a batch of MaxBatch queries (results) encodes, frames and
+// parses back; MaxBatch+1 is refused by the encoder and, hand-built, by
+// the parser. It kills mutant M07 (AppendRequest checking MaxBatch+1
+// instead of MaxBatch), which survived while only far-off counts were
+// tested.
+func TestBatchLimitBoundary(t *testing.T) {
+	qs := make([]Query, MaxBatch+1)
+	rs := make([]Result, MaxBatch+1)
+	kinds := make([]uint8, MaxBatch+1)
+	for i := range qs {
+		qs[i] = Query{Kind: QDist, U: graph.NodeID(i), V: 1}
+		rs[i] = Result{Kind: QDist, Status: StatusOK, Dist: graph.Weight(i)}
+		kinds[i] = QDist
+	}
+
+	frame, err := AppendRequest(nil, 5, qs[:MaxBatch])
+	if err != nil {
+		t.Fatalf("AppendRequest refused exactly MaxBatch queries: %v", err)
+	}
+	_, payload := readOne(t, frame)
+	if _, got, err := ParseRequest(payload, nil); err != nil || len(got) != MaxBatch {
+		t.Fatalf("ParseRequest of MaxBatch queries: %d, %v", len(got), err)
+	}
+	if _, err := AppendRequest(nil, 5, qs); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("AppendRequest accepted MaxBatch+1 queries: %v", err)
+	}
+	over := binary.AppendUvarint(binary.AppendUvarint(nil, 5), MaxBatch+1)
+	for range qs {
+		over = append(over, QDist, 1, 2)
+	}
+	if _, _, err := ParseRequest(over, nil); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("ParseRequest accepted MaxBatch+1 queries: %v", err)
+	}
+
+	frame, err = AppendReply(nil, 6, rs[:MaxBatch])
+	if err != nil {
+		t.Fatalf("AppendReply refused exactly MaxBatch results: %v", err)
+	}
+	_, payload = readOne(t, frame)
+	if _, got, err := ParseReply(payload, kinds[:MaxBatch], nil); err != nil || len(got) != MaxBatch {
+		t.Fatalf("ParseReply of MaxBatch results: %d, %v", len(got), err)
+	}
+	if _, err := AppendReply(nil, 6, rs); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("AppendReply accepted MaxBatch+1 results: %v", err)
+	}
+	over = binary.AppendUvarint(binary.AppendUvarint(nil, 6), MaxBatch+1)
+	for range rs {
+		over = append(over, StatusOK, 3)
+	}
+	if _, _, err := ParseReply(over, kinds, nil); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("ParseReply accepted MaxBatch+1 results: %v", err)
+	}
+}
+
 func mustRequestPayload(t *testing.T) []byte {
 	t.Helper()
 	frame, err := AppendRequest(nil, 7, []Query{{Kind: QDist, U: 1, V: 2}})
