@@ -5,19 +5,22 @@
 // replace the linear-in-label-length hub merge entirely.
 //
 // The cache is deliberately not concurrent: each server shard owns one
-// Cache, and only that shard's worker goroutine touches the key/value
-// arrays, so lookups and inserts are plain loads and stores — no locks,
+// Cache, and only the goroutine that currently owns the shard — its
+// worker, or a submitter serving its own query — touches the key/value
+// arrays. The shard's ownership flag is taken and released with
+// atomics, which orders one owner's stores before the next owner's
+// loads, so lookups and inserts stay plain loads and stores — no locks,
 // no atomics, no false sharing between shards. The only cross-goroutine
 // traffic is the hit/miss/evict counters (read by Stats) and the
 // generation word, both atomic.
 //
 // Coherence is generational, not surgical: the server bumps its
-// snapshot generation on every Swap/SwapRetire, and the owning worker
+// snapshot generation on every Swap/SwapRetire, and the shard's owner
 // calls ResetIfStale before probing. A stale cache is discarded
 // wholesale — after a swap the served graph may differ arbitrarily, so
 // there is nothing worth keeping, and the reset is O(size) of int64
 // stores by the one goroutine that owns the arrays. Between the swap
-// and the worker's next group the cache is never consulted, so a stale
+// and the owner's next group the cache is never consulted, so a stale
 // answer can never be served.
 package hotcache
 
@@ -31,8 +34,8 @@ import (
 // a probe touches exactly two lines (keys, then values on a hit).
 const ways = 4
 
-// Cache is a set-associative pair→distance cache owned by a single
-// goroutine. The zero value is not usable; call New.
+// Cache is a set-associative pair→distance cache owned by one
+// goroutine at a time. The zero value is not usable; call New.
 type Cache struct {
 	keys []uint64       // sets*ways, 0 = empty slot
 	vals []graph.Weight // parallel to keys

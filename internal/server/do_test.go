@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -266,3 +269,134 @@ func TestAdaptersZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// stackProbe is a backend that records, per Distance call, whether the
+// call ran on a shard worker goroutine — the one whose stack holds
+// (*Server).run — or on the goroutine that submitted the query.
+type stackProbe struct {
+	indextest.Fixed
+	mu       sync.Mutex
+	onWorker []bool
+}
+
+func (p *stackProbe) Distance(u, v graph.NodeID) graph.Weight {
+	buf := make([]byte, 16<<10)
+	buf = buf[:runtime.Stack(buf, false)]
+	p.mu.Lock()
+	p.onWorker = append(p.onWorker, bytes.Contains(buf, []byte("(*Server).run")))
+	p.mu.Unlock()
+	return p.Fixed.Distance(u, v)
+}
+
+func (p *stackProbe) calls() []bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	got := p.onWorker
+	p.onWorker = nil
+	return got
+}
+
+// TestDoWhoServes pins the dispatch rule: a lone query with no deadline
+// is served on the goroutine that submitted it, while a deadline-bound
+// query and every query of a wave are left to the shard workers.
+func TestDoWhoServes(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		call   func(*Server)
+		worker bool
+	}{
+		{"TryQuery without a deadline", Options{Shards: 2}, func(s *Server) { s.TryQuery("c", 1, 5) }, false},
+		{"TryQuery with a deadline", Options{Shards: 2, QueryTimeout: time.Minute}, func(s *Server) { s.TryQuery("c", 1, 5) }, true},
+		{"TryQueryBatch of 2", Options{Shards: 2}, func(s *Server) {
+			s.TryQueryBatch("c", [][2]graph.NodeID{{1, 5}, {2, 9}}, make([]graph.Weight, 2), make([]error, 2))
+		}, true},
+	} {
+		p := &stackProbe{Fixed: indextest.Fixed{N: 16}}
+		srv := New(p, tc.opts)
+		tc.call(srv)
+		srv.Close()
+		got := p.calls()
+		if len(got) == 0 {
+			t.Fatalf("%s: the backend was never called", tc.name)
+		}
+		for i, onWorker := range got {
+			if onWorker != tc.worker {
+				t.Errorf("%s: call %d ran on a worker = %v, want %v", tc.name, i, onWorker, tc.worker)
+			}
+		}
+	}
+}
+
+// TestDoDeadlineRacesDelivery drives the deadline-vs-delivery
+// arbitration of Do against answers computed in time but delivered
+// late. deliverHook holds the answer to slot i of a wave back until
+// slots 0..i-1 are resolved (slot 0 until the caller's deadline fired
+// and it abandoned the slot), then waits a few more cycles — an offset
+// swept across the iterations — so the worker's delivery of slot i
+// lands as the caller abandons it. Whichever side wins a query, it
+// must be counted exactly once: Served + Timeouts equals the queries
+// submitted after every call. This kills mutant M13 — the abandon
+// CompareAndSwap(stPending, stAbandoned) split into a load and a store,
+// which lets a delivery land between the two so the query counts as
+// both served and timed out. Catching that needs two Ps running at
+// once; at GOMAXPROCS 1 the test only checks the accounting.
+func TestDoDeadlineRacesDelivery(t *testing.T) {
+	const wave, iters = 8, 1000
+	srv := New(&indextest.Fixed{N: 64}, Options{Shards: 1, QueryTimeout: 200 * time.Microsecond})
+	sh := srv.shards[0]
+	parallel := runtime.GOMAXPROCS(0) > 1
+	var base, offset atomic.Uint64
+	var delivers atomic.Int64
+	// resolved counts the slots of the current wave either side has won.
+	resolved := func() uint64 { return srv.timeouts.Load() + sh.served.Load() - base.Load() }
+	deliverHook = func(r *request) {
+		for resolved() < uint64(max(r.u, 1)) {
+			if !parallel {
+				runtime.Gosched()
+			}
+		}
+		for i := offset.Load(); i > 0; i-- {
+			spinSink++
+		}
+		delivers.Add(1)
+	}
+	defer func() {
+		srv.Close()
+		deliverHook = nil
+	}()
+	qs := make([]wire.Query, wave)
+	for i := range qs {
+		qs[i] = wire.Query{Kind: wire.QDist, U: graph.NodeID(i), V: graph.NodeID(2*i + 1)}
+	}
+	rs := make([]wire.Result, wave)
+	for it := 0; it < iters; it++ {
+		base.Store(srv.timeouts.Load() + sh.served.Load())
+		offset.Store(uint64(it % 128))
+		srv.Do("c", qs, rs)
+		for i := range rs {
+			switch rs[i].Status {
+			case wire.StatusTimeout:
+			case wire.StatusOK:
+				if want := graph.Weight(i + 1); rs[i].Dist != want {
+					t.Fatalf("iteration %d slot %d: d = %d, want %d", it, i, rs[i].Dist, want)
+				}
+			default:
+				t.Fatalf("iteration %d slot %d: status %d", it, i, rs[i].Status)
+			}
+		}
+		// Let the worker finish the wave before the next one starts, so
+		// every iteration races on a drained queue.
+		for delivers.Load() < int64(wave*(it+1)) {
+			runtime.Gosched()
+		}
+		st := srv.Stats()
+		if got, want := st.Served+st.Timeouts, uint64(wave*(it+1)); got != want {
+			t.Fatalf("iteration %d: served %d + timeouts %d = %d, want %d submitted", it, st.Served, st.Timeouts, got, want)
+		}
+	}
+}
+
+// spinSink is the hook's delay loop's side effect; only the worker
+// writes it, one wave at a time.
+var spinSink uint64

@@ -1,14 +1,22 @@
 // Package server is the in-process concurrent query service over an
 // index.Index: client goroutines submit (u,v) pairs, the server shards
-// them across worker goroutines, and each worker coalesces adjacent
-// requests into groups of three to feed the interleaved merge of the
-// hub-label batch path. The served index is held behind an atomic
-// snapshot pointer, so a rebuilt or freshly loaded index can be swapped
-// in under live traffic without pausing queries.
+// them across request queues, and whoever owns a shard drains its queue
+// in groups of up to three adjacent requests to feed the interleaved
+// merge of the hub-label batch path. The served index is held behind an
+// atomic snapshot pointer, so a rebuilt or freshly loaded index can be
+// swapped in under live traffic without pausing queries.
+//
+// Each shard has one owner at a time. Its worker goroutine takes the
+// shard when signalled; a lone query with no deadline takes it itself
+// when the shard is free, and serves its own queue slot on the calling
+// goroutine instead of parking while a worker wakes, computes and wakes
+// it back. Waves and deadline-bound calls always leave the work to the
+// worker, so a wave spreads over the shards and a caller's deadline
+// never waits behind its own merge.
 //
 // The per-query hot path performs zero allocations in steady state:
 // request envelopes (including their reply channels) are pooled, shard
-// routing is a single atomic round-robin tick, and every worker reuses
+// routing is a single atomic round-robin tick, and every shard reuses
 // its batch buffers across groups.
 //
 // One request core serves every door: Do takes a wave of typed queries
@@ -77,7 +85,7 @@ var (
 	ErrUnsupported = wire.ErrUnsupported
 	// ErrBackendFault reports that the backend panicked (or raised an
 	// injected fault) while computing this request's group. The panic
-	// was contained: the worker recovered, failed the in-flight group
+	// was contained: whoever was serving the group recovered, failed it
 	// with this error, and resumed serving — the process never crashes
 	// and completions never hang. Counted in Stats.Faulted (the panic
 	// events themselves in Stats.Panics).
@@ -140,7 +148,7 @@ type Options struct {
 	QueryTimeout time.Duration
 	// HotCache, when positive, attaches a per-shard hotcache.Cache of at
 	// least this many entries (rounded up to power-of-two sets) to every
-	// shard worker: distance requests probe it before the batch merge,
+	// shard: distance requests probe it before the batch merge,
 	// and computed answers are inserted after. The cache is invalidated
 	// wholesale on Swap/SwapRetire via the snapshot generation, so a hit
 	// can never survive a reload. 0 disables caching.
@@ -163,8 +171,9 @@ type Server struct {
 	wg      sync.WaitGroup
 	closing atomic.Bool
 	// active counts submissions between acquire and release; Close waits
-	// for it to drain before closing the shard channels, so a submit can
-	// never race a channel close (drained carries the wake-up signal).
+	// for it to drain before closing the workers' wake channels, so no
+	// enqueue or signal can race a channel close (drained carries the
+	// wake-up signal).
 	active  atomic.Int64
 	drained chan struct{}
 	// ctl is the optional fair admission controller of Do.
@@ -175,7 +184,7 @@ type Server struct {
 	// Stats folds it into Served beside the workers' own refusals.
 	refused atomic.Uint64
 	// gen issues snapshot generation numbers: every installed snapshot
-	// (New, Swap, SwapRetire) gets the next value. Shard workers compare
+	// (New, Swap, SwapRetire) gets the next value. Shard owners compare
 	// the generation of the snapshot they pinned against their hot
 	// cache's fill generation and discard stale contents before probing
 	// (hotcache.ResetIfStale) — tagging contents by the pinned snapshot,
@@ -279,6 +288,11 @@ func (snap *snapshot) release() {
 	}
 }
 
+// deliverHook, when set, runs between a request's answer and its
+// delivery. Tests set it to hold an answer back while a deadline fires;
+// it is nil otherwise.
+var deliverHook func(*request)
+
 // Envelope delivery states: exactly one side — the worker delivering an
 // answer, or a waiter abandoning at its deadline — wins the CAS from
 // pending, so a request resolves exactly once and a timed-out envelope
@@ -293,7 +307,7 @@ const (
 // the fields of its wire.Result coming out.
 type request struct {
 	kind   uint8 // wire.QDist / QPath / QEcc
-	status uint8 // wire.Status*, written by the worker before delivery
+	status uint8 // wire.Status*, written by the shard owner before delivery
 	u, v   graph.NodeID
 	d      graph.Weight
 	far    graph.NodeID
@@ -310,17 +324,66 @@ type request struct {
 
 type shard struct {
 	ch chan *request
-	// Reusable per-shard batch buffers: the worker is the only goroutine
-	// touching them, so groups recycle the same storage forever.
+	// owner is held by whoever drains the queue — the worker, or a lone
+	// submitter serving itself. Only the owner takes requests off ch, and
+	// it answers every request it took before letting go.
+	owner atomic.Bool
+	// missed records a worker that was woken while a submitter owned the
+	// shard; that submitter wakes it again on hand-back (see take).
+	missed atomic.Bool
+	// wake (capacity 1) is what the worker parks on. A token means "the
+	// queue may hold work nobody owns"; the worker never parks on ch
+	// itself, since a send to a worker parked there would hand it the
+	// request before its submitter could serve it.
+	wake chan struct{}
+	// Reusable per-shard batch buffers: only the shard's owner touches
+	// them, so groups recycle the same storage forever.
 	reqs    [maxBatch]*request
 	pairs   [maxBatch][2]graph.NodeID
 	out     [maxBatch]graph.Weight
 	served  atomic.Uint64
 	batches atomic.Uint64
 	// cache is the shard's private Zipf-hot result cache (nil when
-	// Options.HotCache is 0). Only this shard's worker touches its
+	// Options.HotCache is 0). Only the shard's owner touches its
 	// key/value arrays — see hotcache's package comment.
 	cache *hotcache.Cache
+}
+
+// signal leaves the worker a wake token (at most one is ever pending).
+func (sh *shard) signal() {
+	select {
+	case sh.wake <- struct{}{}:
+	default:
+	}
+}
+
+// idle reports a shard nobody owns with nothing queued: a lone submitter
+// enqueueing there can expect to take it. It is a hint, not a claim.
+func (sh *shard) idle() bool { return !sh.owner.Load() && len(sh.ch) == 0 }
+
+// take claims the shard for its worker. When someone else holds it, the
+// worker records the miss before trying once more, so either the retry
+// wins or the holder's hand-back, which comes after the retry, sees the
+// miss and wakes the worker again: work the holder left queued is never
+// stranded.
+func (sh *shard) take() bool {
+	if sh.owner.CompareAndSwap(false, true) {
+		return true
+	}
+	sh.missed.Store(true)
+	return sh.owner.CompareAndSwap(false, true)
+}
+
+// disown hands the shard back from a submitter that served itself,
+// waking the worker if it was turned away meanwhile. Only submitters
+// call it — they hold the close gate, so the signal cannot race Close
+// closing wake; the worker hands the shard back with a plain store, as
+// nothing it could have missed is left queued once it has drained.
+func (sh *shard) disown() {
+	sh.owner.Store(false)
+	if sh.missed.Swap(false) {
+		sh.signal()
+	}
 }
 
 // New starts a server over idx. Callers must Close it to release the
@@ -345,7 +408,7 @@ func New(idx index.Index, opts Options) *Server {
 	s.snap.Store(first)
 	s.pool.New = func() any { return &request{done: make(chan struct{}, 1)} }
 	for i := range s.shards {
-		sh := &shard{ch: make(chan *request, depth), cache: hotcache.New(opts.HotCache)}
+		sh := &shard{ch: make(chan *request, depth), wake: make(chan struct{}, 1), cache: hotcache.New(opts.HotCache)}
 		s.shards[i] = sh
 		s.wg.Add(1)
 		go s.run(sh)
@@ -374,7 +437,7 @@ func newSnapshot(idx index.Index, owned bool) *snapshot {
 // acquire registers a submission against the close gate. It returns
 // false when the server is closing: after closing flips, every acquire
 // backs out, so once active drains to zero no submission can ever touch
-// the shard channels again and Close may close them safely.
+// the shard channels again and Close may close the wake channels safely.
 func (s *Server) acquire() bool {
 	if s.closing.Load() {
 		return false
@@ -413,9 +476,11 @@ func (s *Server) release() {
 //
 // then awaits the answers in order. The queries proceed concurrently
 // across the shards and coalesce into merge groups there, whatever
-// their kinds; a single query is the wave of one. The worker that
-// serves a query range-checks its vertices against the snapshot it
-// pinned (StatusBadRequest), so a reload to a smaller index cannot slip
+// their kinds; a single query is the wave of one. A single query with
+// no deadline serves its own shard when the shard is free (see admit);
+// everything else is served by the shard workers. Whoever serves a
+// query range-checks its vertices against the snapshot it pinned
+// (StatusBadRequest), so a reload to a smaller index cannot slip
 // between check and use. With Options.QueryTimeout set, one deadline
 // bounds the whole call: when it fires, every query still unanswered
 // resolves StatusTimeout and its envelope is left to the worker.
@@ -461,6 +526,8 @@ func (s *Server) do(reqs []*request, client string, qs []wire.Query, rs []wire.R
 		defer putTimer(t)
 		deadline = t.C
 	}
+	// A lone query with no deadline serves itself (see admit).
+	self := len(qs) == 1 && deadline == nil
 	// expired latches once the deadline has fired: the timer channel
 	// yields exactly once, so nothing may select on it again, and every
 	// query not yet answered is a timeout.
@@ -470,7 +537,7 @@ func (s *Server) do(reqs []*request, client string, qs []wire.Query, rs []wire.R
 		if expired {
 			rs[i].Status = s.timedOut()
 		} else {
-			r, rs[i].Status = s.admit(client, &qs[i], rs[i].Path, deadline)
+			r, rs[i].Status = s.admit(client, &qs[i], rs[i].Path, deadline, self)
 			// Only a warm cut short by the deadline times out here.
 			expired = rs[i].Status == wire.StatusTimeout
 		}
@@ -514,10 +581,19 @@ func (s *Server) do(reqs []*request, client string, qs []wire.Query, rs []wire.R
 	return reqs[:0]
 }
 
-// admit takes one query through the door into a shard queue. It returns
-// the enqueued envelope, or nil and the status that resolved the query
-// on the spot.
-func (s *Server) admit(client string, q *wire.Query, dst []graph.NodeID, deadline <-chan time.Time) (*request, uint8) {
+// admit takes one query through the door into a shard queue and sees
+// that it gets served. It returns the enqueued envelope, or nil and the
+// status that resolved the query on the spot.
+//
+// With self set — a lone query (the wave of one) with no deadline — the
+// query serves itself: it prefers a shard that is idle, takes the
+// shard's ownership if it can, and drains the queue on this goroutine
+// until its own request is answered — the merge runs where the answer
+// is awaited, with no hand-off to a worker and back. Every other query
+// wakes the shard's worker: a wave's queries then run in parallel
+// across the shards, and a deadline is never left waiting behind a
+// merge its own caller runs.
+func (s *Server) admit(client string, q *wire.Query, dst []graph.NodeID, deadline <-chan time.Time, self bool) (*request, uint8) {
 	// An id no index could hold is refused ahead of admission, the way a
 	// door refuses a line it cannot parse — and the way hubclient must,
 	// the frame format having no way to carry it — so overload never
@@ -545,10 +621,15 @@ func (s *Server) admit(client string, q *wire.Query, dst []graph.NodeID, deadlin
 	r.kind, r.u, r.v, r.path = q.Kind, q.U, q.V, dst
 	r.status, r.d, r.far = wire.StatusOK, graph.Infinity, -1
 	r.state.Store(stPending)
-	sh := s.shards[s.rr.Add(1)%uint64(len(s.shards))]
+	i := s.rr.Add(1) % uint64(len(s.shards))
+	sh := s.shards[i]
+	if self && !sh.idle() {
+		if next := s.shards[(i+1)%uint64(len(s.shards))]; next.idle() {
+			sh = next
+		}
+	}
 	select {
 	case sh.ch <- r:
-		return r, wire.StatusOK
 	default:
 		s.putRequest(r)
 		s.rejected.Add(1)
@@ -557,6 +638,17 @@ func (s *Server) admit(client string, q *wire.Query, dst []graph.NodeID, deadlin
 		}
 		return nil, wire.StatusOverloaded
 	}
+	if self && sh.owner.CompareAndSwap(false, true) {
+		// r is still queued unless an earlier owner took it, and an owner
+		// answers all it took before letting go — so either r is already
+		// answered or a group served here reaches it.
+		for r.state.Load() == stPending && s.serveNext(sh) {
+		}
+		sh.disown()
+	} else {
+		sh.signal()
+	}
+	return r, wire.StatusOK
 }
 
 // timedOut accounts one query abandoned at the deadline.
@@ -809,8 +901,8 @@ type Stats struct {
 	// the shard queues (a pressure gauge, not a counter).
 	Queued int
 	// Panics counts recovered backend panics (events, not requests): a
-	// worker that panics mid-group recovers, fails the group with
-	// ErrBackendFault, and resumes; a capability warm that panics counts
+	// group that panics mid-merge is recovered by whoever was serving
+	// it, which fails the group with ErrBackendFault and resumes; a capability warm that panics counts
 	// here too. A nonzero value means the backend misbehaved and the
 	// server contained it.
 	Panics uint64
@@ -892,12 +984,15 @@ func (s *Server) Close() {
 		return
 	}
 	// Wait for every submission that passed the gate to leave before
-	// closing the channels — a send can then never hit a closed channel.
+	// closing the wake channels — a signal can then never hit a closed
+	// channel. Whatever is still queued (envelopes abandoned at their
+	// deadline) has a wake token pending, so each worker drains it
+	// before its range over wake ends.
 	for s.active.Load() != 0 {
 		<-s.drained
 	}
 	for _, sh := range s.shards {
-		close(sh.ch)
+		close(sh.wake)
 	}
 	s.wg.Wait()
 	// Workers are gone and no submission can pass the gate: retiring the
@@ -909,49 +1004,62 @@ func (s *Server) Close() {
 	}
 }
 
-// run is the shard worker loop: block for one request, opportunistically
-// coalesce up to batchSize-1 more that are already queued, answer the
-// group on one snapshot, reply. All computation and delivery happens
-// inside serveGroup, which contains backend panics — a worker survives
-// any number of faults and keeps draining its queue.
+// run is the shard worker loop: park until signalled, then take the
+// shard and drain its queue group by group until it is empty. Every
+// request left to the worker was enqueued before its token was sent: if
+// the worker finds the shard owned, the owner wakes it again on
+// hand-back (take, disown), and a request enqueued while the worker
+// itself owned the shard sent a token of its own. All computation and
+// delivery happens inside serveGroup, which contains backend panics — a
+// worker survives any number of faults and keeps draining its queue.
 func (s *Server) run(sh *shard) {
 	defer s.wg.Done()
-	for {
-		r, ok := <-sh.ch
-		if !ok {
-			return
-		}
-		sh.reqs[0] = r
-		n := 1
-	coalesce:
-		for n < batchSize {
-			select {
-			case r2, ok2 := <-sh.ch:
-				if !ok2 {
-					break coalesce
-				}
-				sh.reqs[n] = r2
-				n++
-			default:
-				break coalesce
+	for range sh.wake {
+		if sh.take() {
+			for s.serveNext(sh) {
 			}
-		}
-		s.serveGroup(sh, n)
-		for i := 0; i < n; i++ {
-			sh.reqs[i] = nil
+			sh.owner.Store(false)
 		}
 	}
 }
 
+// serveNext is the one place a request leaves a shard queue. The
+// caller must own the shard: it takes up to batchSize queued requests
+// without blocking and answers them as one group. It reports false when
+// the queue was empty.
+func (s *Server) serveNext(sh *shard) bool {
+	n := 0
+coalesce:
+	for n < batchSize {
+		select {
+		case r := <-sh.ch:
+			sh.reqs[n] = r
+			n++
+		default:
+			break coalesce
+		}
+	}
+	if n == 0 {
+		return false
+	}
+	s.serveGroup(sh, n)
+	for i := 0; i < n; i++ {
+		sh.reqs[i] = nil
+	}
+	return true
+}
+
 // serveGroup answers one coalesced group on one snapshot, probing the
 // shard's hot cache (when enabled) for distance requests before paying
-// for the merge and feeding computed answers back in. A panic out of
-// the backend — or an injected worker fault — is recovered here: every
-// undelivered request in the group fails StatusBackendFault (counted
-// in Faulted, the panic event in Panics), completions are still
-// signaled so no caller ever hangs, and the worker loop resumes. The
-// snapshot pin is dropped on every path, so fault containment never
-// leaks a reference that would keep a retired mmap view mapped.
+// for the merge and feeding computed answers back in. It runs on
+// whichever goroutine owns the shard — the worker, or a lone submitter
+// serving itself. A panic out of the backend — or an injected worker
+// fault — is recovered here: every undelivered request in the group
+// fails StatusBackendFault (counted in Faulted, the panic event in
+// Panics), completions are still signaled so no caller ever hangs, and
+// the owner carries on. The snapshot pin is dropped on every path, so
+// fault containment never leaks a reference that would keep a retired
+// mmap view mapped.
 func (s *Server) serveGroup(sh *shard, n int) {
 	// Pin the snapshot for the whole group: a concurrent SwapRetire
 	// can replace the pointer at any time, but the old index is only
@@ -1054,11 +1162,14 @@ func (s *Server) serveGroup(sh *shard, n int) {
 }
 
 // deliver hands an answered request back to its waiter — unless the
-// waiter abandoned it at the deadline, in which case the worker owns the
-// envelope and recycles it. Exactly one of the two happens (the state
-// CAS arbitrates), so a request is counted exactly once and a pooled
-// envelope can never be signaled twice.
+// waiter abandoned it at the deadline, in which case the shard owner
+// owns the envelope and recycles it. Exactly one of the two happens
+// (the state CAS arbitrates), so a request is counted exactly once and
+// a pooled envelope can never be signaled twice.
 func (s *Server) deliver(sh *shard, r *request) {
+	if deliverHook != nil {
+		deliverHook(r)
+	}
 	if r.state.CompareAndSwap(stPending, stDelivered) {
 		sh.served.Add(1)
 		r.done <- struct{}{}

@@ -77,55 +77,83 @@ func TestServerUnsupportedKinds(t *testing.T) {
 	}
 }
 
-// TestServerMixedKindsConcurrent hammers all three kinds from many
-// goroutines over small queues so the workers see mixed coalesced groups;
-// every request must be answered or rejected cleanly, and Stats must
+// TestServerMixedKindsConcurrent hammers all three kinds, as single
+// queries and as waves of 2–5 distances, from many goroutines over small
+// queues, so the shards see mixed coalesced groups and lone queries
+// serving themselves contend for shard ownership with workers draining
+// waves — on one shard and on two. Every request must be answered or
+// rejected cleanly (a lost wake-up hangs the test), and Stats must
 // account for each served request exactly once.
 func TestServerMixedKindsConcurrent(t *testing.T) {
 	g, idx := buildIndex(t, 150, 270, 7)
-	srv := New(idx, Options{Shards: 2, QueueDepth: 4})
-	defer srv.Close()
 	n := graph.NodeID(g.NumNodes())
-	const goroutines, perG = 8, 200
-	var wg sync.WaitGroup
-	var served, rejected atomic.Uint64
-	for w := 0; w < goroutines; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var buf []graph.NodeID
-			for i := 0; i < perG; i++ {
-				u, v := graph.NodeID((w*31+i)%int(n)), graph.NodeID((w*17+i*3)%int(n))
-				var err error
-				switch i % 3 {
-				case 0:
-					_, err = srv.TryQuery("c", u, v)
-				case 1:
-					buf, err = srv.TryPath("c", u, v, buf[:0])
-				default:
-					_, err = srv.TryEccentricity("c", u)
-				}
-				switch {
-				case err == nil:
-					served.Add(1)
-				case errors.Is(err, ErrOverloaded):
-					rejected.Add(1)
-				default:
-					t.Errorf("unexpected error: %v", err)
-					return
-				}
+	for _, shards := range []int{1, 2} {
+		srv := New(idx, Options{Shards: shards, QueueDepth: 4})
+		const goroutines, perG = 8, 200
+		var wg sync.WaitGroup
+		var submitted, served, rejected atomic.Uint64
+		count := func(err error) bool {
+			switch {
+			case err == nil:
+				served.Add(1)
+			case errors.Is(err, ErrOverloaded):
+				rejected.Add(1)
+			default:
+				t.Errorf("shards=%d: unexpected error: %v", shards, err)
+				return false
 			}
-		}(w)
-	}
-	wg.Wait()
-	st := srv.Stats()
-	if st.Served != served.Load() {
-		t.Errorf("Stats.Served = %d, answered %d", st.Served, served.Load())
-	}
-	if st.Rejected+st.Shed != rejected.Load() {
-		t.Errorf("Stats.Rejected+Shed = %d, turned away %d", st.Rejected+st.Shed, rejected.Load())
-	}
-	if served.Load()+rejected.Load() != goroutines*perG {
-		t.Errorf("accounted %d of %d requests", served.Load()+rejected.Load(), goroutines*perG)
+			return true
+		}
+		for w := 0; w < goroutines; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				var buf []graph.NodeID
+				var pairs [5][2]graph.NodeID
+				var out [5]graph.Weight
+				var errs [5]error
+				for i := 0; i < perG; i++ {
+					u, v := graph.NodeID((w*31+i)%int(n)), graph.NodeID((w*17+i*3)%int(n))
+					var err error
+					switch i % 4 {
+					case 0:
+						_, err = srv.TryQuery("c", u, v)
+					case 1:
+						buf, err = srv.TryPath("c", u, v, buf[:0])
+					case 2:
+						_, err = srv.TryEccentricity("c", u)
+					default:
+						k := 2 + (w+i)%4
+						for j := 0; j < k; j++ {
+							pairs[j] = [2]graph.NodeID{(u + graph.NodeID(j)) % n, (v + graph.NodeID(7*j)) % n}
+						}
+						srv.TryQueryBatch("c", pairs[:k], out[:k], errs[:k])
+						submitted.Add(uint64(k))
+						for j := 0; j < k; j++ {
+							if !count(errs[j]) {
+								return
+							}
+						}
+						continue
+					}
+					submitted.Add(1)
+					if !count(err) {
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		st := srv.Stats()
+		srv.Close()
+		if st.Served != served.Load() {
+			t.Errorf("shards=%d: Stats.Served = %d, answered %d", shards, st.Served, served.Load())
+		}
+		if st.Rejected+st.Shed != rejected.Load() {
+			t.Errorf("shards=%d: Stats.Rejected+Shed = %d, turned away %d", shards, st.Rejected+st.Shed, rejected.Load())
+		}
+		if served.Load()+rejected.Load() != submitted.Load() {
+			t.Errorf("shards=%d: accounted %d of %d requests", shards, served.Load()+rejected.Load(), submitted.Load())
+		}
 	}
 }
