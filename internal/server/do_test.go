@@ -270,22 +270,68 @@ func TestAdaptersZeroAlloc(t *testing.T) {
 	}
 }
 
-// stackProbe is a backend that records, per Distance call, whether the
-// call ran on a shard worker goroutine — the one whose stack holds
-// (*Server).run — or on the goroutine that submitted the query.
+// stackProbe is a backend that records, per Distance, AppendPath or
+// Farthest call, whether the call ran on a shard worker goroutine — the
+// one whose stack holds (*Server).run — or on the goroutine that
+// submitted the query. With meet set, every call also waits (up to a
+// few seconds) until meet calls are inside the backend at once, so
+// callers that are served concurrently must be served on different
+// shards; met records whether every such meeting happened.
 type stackProbe struct {
 	indextest.Fixed
+	meet     int
 	mu       sync.Mutex
 	onWorker []bool
+	inside   int
+	met      chan struct{}
+	missed   bool
 }
 
-func (p *stackProbe) Distance(u, v graph.NodeID) graph.Weight {
+func (p *stackProbe) record() {
 	buf := make([]byte, 16<<10)
 	buf = buf[:runtime.Stack(buf, false)]
 	p.mu.Lock()
 	p.onWorker = append(p.onWorker, bytes.Contains(buf, []byte("(*Server).run")))
+	if p.meet == 0 {
+		p.mu.Unlock()
+		return
+	}
+	if p.met == nil {
+		p.met = make(chan struct{})
+	}
+	met := p.met
+	if p.inside++; p.inside == p.meet {
+		close(met)
+		p.met, p.inside = nil, 0
+	}
 	p.mu.Unlock()
+	select {
+	case <-met:
+	case <-time.After(5 * time.Second):
+		p.mu.Lock()
+		p.missed = true
+		p.mu.Unlock()
+	}
+}
+
+func (p *stackProbe) Distance(u, v graph.NodeID) graph.Weight {
+	p.record()
 	return p.Fixed.Distance(u, v)
+}
+
+func (p *stackProbe) AppendPath(dst []graph.NodeID, u, v graph.NodeID) ([]graph.NodeID, error) {
+	p.record()
+	return append(dst, u, v), nil
+}
+
+func (p *stackProbe) Farthest(v graph.NodeID) (graph.NodeID, graph.Weight, error) {
+	p.record()
+	return 0, p.Fixed.Distance(v, 0), nil
+}
+
+func (p *stackProbe) Eccentricity(v graph.NodeID) (graph.Weight, error) {
+	_, d, err := p.Farthest(v)
+	return d, err
 }
 
 func (p *stackProbe) calls() []bool {
@@ -297,28 +343,52 @@ func (p *stackProbe) calls() []bool {
 }
 
 // TestDoWhoServes pins the dispatch rule: a lone query with no deadline
-// is served on the goroutine that submitted it, while a deadline-bound
-// query and every query of a wave are left to the shard workers.
+// — a distance, a path or an eccentricity — is served on the goroutine
+// that submitted it, while a deadline-bound query and every query of a
+// wave are left to the shard workers. Two lone callers whose queries
+// are inside the backend at the same moment are each served on their
+// own goroutine: one shard is busy, so the other caller is served on
+// the free one, not queued behind the first for a worker.
 func TestDoWhoServes(t *testing.T) {
+	twoCallers := func(s *Server) {
+		var wg sync.WaitGroup
+		for c := 0; c < 2; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					s.TryQuery("c", graph.NodeID(c), graph.NodeID(i%16))
+				}
+			}(c)
+		}
+		wg.Wait()
+	}
 	for _, tc := range []struct {
 		name   string
 		opts   Options
+		meet   int
 		call   func(*Server)
 		worker bool
 	}{
-		{"TryQuery without a deadline", Options{Shards: 2}, func(s *Server) { s.TryQuery("c", 1, 5) }, false},
-		{"TryQuery with a deadline", Options{Shards: 2, QueryTimeout: time.Minute}, func(s *Server) { s.TryQuery("c", 1, 5) }, true},
-		{"TryQueryBatch of 2", Options{Shards: 2}, func(s *Server) {
+		{"TryQuery without a deadline", Options{Shards: 2}, 0, func(s *Server) { s.TryQuery("c", 1, 5) }, false},
+		{"TryPath without a deadline", Options{Shards: 2}, 0, func(s *Server) { s.TryPath("c", 1, 5, nil) }, false},
+		{"TryEccentricity without a deadline", Options{Shards: 2}, 0, func(s *Server) { s.TryEccentricity("c", 5) }, false},
+		{"two concurrent lone callers", Options{Shards: 2}, 2, twoCallers, false},
+		{"TryQuery with a deadline", Options{Shards: 2, QueryTimeout: time.Minute}, 0, func(s *Server) { s.TryQuery("c", 1, 5) }, true},
+		{"TryQueryBatch of 2", Options{Shards: 2}, 0, func(s *Server) {
 			s.TryQueryBatch("c", [][2]graph.NodeID{{1, 5}, {2, 9}}, make([]graph.Weight, 2), make([]error, 2))
 		}, true},
 	} {
-		p := &stackProbe{Fixed: indextest.Fixed{N: 16}}
+		p := &stackProbe{Fixed: indextest.Fixed{N: 16}, meet: tc.meet}
 		srv := New(p, tc.opts)
 		tc.call(srv)
 		srv.Close()
 		got := p.calls()
 		if len(got) == 0 {
 			t.Fatalf("%s: the backend was never called", tc.name)
+		}
+		if p.missed {
+			t.Errorf("%s: concurrent callers never met inside the backend", tc.name)
 		}
 		for i, onWorker := range got {
 			if onWorker != tc.worker {

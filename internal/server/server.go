@@ -8,16 +8,19 @@
 //
 // Each shard has one owner at a time. Its worker goroutine takes the
 // shard when signalled; a lone query with no deadline takes it itself
-// when the shard is free, and serves its own queue slot on the calling
-// goroutine instead of parking while a worker wakes, computes and wakes
-// it back. Waves and deadline-bound calls always leave the work to the
-// worker, so a wave spreads over the shards and a caller's deadline
-// never waits behind its own merge.
+// when the shard is free and is answered on the calling goroutine, with
+// no queue slot and no hand-off to a worker and back. Such a query
+// starts at the shard its pooled envelope remembers, so each processor
+// keeps to one shard, and the lone path — close gate stripe, owner
+// flag, snapshot pin, hot cache — writes only that shard. Waves and
+// deadline-bound calls always leave the work to the worker, so a wave
+// spreads over the shards and a caller's deadline never waits behind
+// its own merge.
 //
 // The per-query hot path performs zero allocations in steady state:
 // request envelopes (including their reply channels) are pooled, shard
-// routing is a single atomic round-robin tick, and every shard reuses
-// its batch buffers across groups.
+// routing is a shard hint or a single atomic round-robin tick, and
+// every shard reuses its batch buffers across groups.
 //
 // One request core serves every door: Do takes a wave of typed queries
 // (wire.Query — distance, witness path, eccentricity) and resolves each
@@ -37,20 +40,23 @@
 // to StatusUnsupported rather than breaking the server.
 //
 // Snapshots are reference-counted, which is what makes serving
-// view-backed (mmap-loaded) indexes safe: every use — a worker group, a
-// capability warm — pins the snapshot it runs on,
-// and an index installed as owned (Options.OwnIndex, SwapRetire) is
-// released (for a view, unmapped) only when the retired snapshot's last
-// pin drops. Hot reload is therefore one SwapRetire: new queries land on
-// the new mapping immediately, in-flight queries finish on the old one,
-// and the old container unmaps the instant the last of them drains —
-// zero dropped queries, zero stop-the-world.
+// view-backed (mmap-loaded) indexes safe: each shard holds a pin on the
+// snapshot its owner serves on, moved when a swap installs another, and
+// a capability warm pins the snapshot it warms. An index installed as
+// owned (Options.OwnIndex, SwapRetire) is released (for a view,
+// unmapped) only when the retired snapshot's last pin drops. Hot reload
+// is therefore one SwapRetire: new queries land on the new mapping
+// immediately, in-flight queries finish on the old one, every shard
+// moves its pin at once (a swap wakes the workers), and the old
+// container unmaps the instant the last of them drains — zero dropped
+// queries, zero stop-the-world.
 package server
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -170,11 +176,8 @@ type Server struct {
 	pool    sync.Pool
 	wg      sync.WaitGroup
 	closing atomic.Bool
-	// active counts submissions between acquire and release; Close waits
-	// for it to drain before closing the workers' wake channels, so no
-	// enqueue or signal can race a channel close (drained carries the
-	// wake-up signal).
-	active  atomic.Int64
+	// drained wakes a Close waiting for the close gate (the shards'
+	// active counts) to drain.
 	drained chan struct{}
 	// ctl is the optional fair admission controller of Do.
 	ctl      *flowctl.Controller
@@ -208,12 +211,15 @@ type Server struct {
 // so one atomic load fetches all of them, plus the reference count that
 // makes retiring a snapshot safe under live traffic.
 //
-// refs starts at 1 — the "installed" reference the Server itself holds —
-// and every use (a worker group, a capability warm)
-// pins it for the duration of the touch. Retiring drops the installed
-// reference; whoever drops refs to zero runs the release, so a
-// view-backed (mmap) index is unmapped exactly once, strictly after the
-// last in-flight query on it finishes, without any stop-the-world drain.
+// refs starts at 1 — the "installed" reference the Server itself holds.
+// Each shard holds one more while its owners serve on the snapshot: the
+// first group after a swap moves the shard's pin to the installed
+// snapshot (see pinned), so a query pays no reference count of its own.
+// A capability warm pins the snapshot for the duration of the warm.
+// Retiring drops the installed reference; whoever drops refs to zero
+// runs the release, so a view-backed (mmap) index is unmapped exactly
+// once, strictly after the last group on it finishes and every shard
+// has moved on, without any stop-the-world drain.
 type snapshot struct {
 	idx   index.Index
 	batch index.Batcher
@@ -234,12 +240,10 @@ type snapshot struct {
 	// and SwapRetire, never by plain Swap, whose caller keeps the old
 	// index.
 	owned bool
-	// n is idx's vertex count, cached at install so every worker group
-	// range-checks its requests against the snapshot it pinned without
-	// a Meta call. It sits down here, in the struct's read-only tail
-	// beside gen, to leave the layout above as it was: workers CAS refs
-	// for every group, and the fields they read for every group must
-	// not share its cache line.
+	// n is idx's vertex count, cached at install so every group
+	// range-checks its requests against the snapshot it is served on
+	// without a Meta call. It sits down here, in the struct's read-only
+	// tail beside gen, away from refs, which swaps and warms write.
 	n graph.NodeID
 }
 
@@ -296,11 +300,14 @@ var deliverHook func(*request)
 // Envelope delivery states: exactly one side — the worker delivering an
 // answer, or a waiter abandoning at its deadline — wins the CAS from
 // pending, so a request resolves exactly once and a timed-out envelope
-// is recycled by the worker instead of racing a pooled reuse.
+// is recycled by the worker instead of racing a pooled reuse. An inline
+// request is served by its own waiter, which nothing else can see: it
+// is answered without a CAS and without a signal on done.
 const (
 	stPending int32 = iota
 	stDelivered
 	stAbandoned
+	stInline
 )
 
 // request is one query of a wave in flight: the wire.Query going in,
@@ -320,6 +327,11 @@ type request struct {
 	// st* constants).
 	state atomic.Int32
 	done  chan struct{}
+	// hint is the shard a lone query carried by this envelope starts at.
+	// The envelope pool is per processor, so the hint stays with the
+	// processor, and moving it to the shard that last served keeps each
+	// caller on a shard of its own.
+	hint uint32
 }
 
 type shard struct {
@@ -336,6 +348,16 @@ type shard struct {
 	// itself, since a send to a worker parked there would hand it the
 	// request before its submitter could serve it.
 	wake chan struct{}
+	// active is this shard's stripe of the close gate: it counts the
+	// submissions between acquire and release whose first envelope
+	// hinted at this shard. Close waits for every stripe to drain before
+	// closing the wake channels, so no enqueue or signal can race a
+	// channel close. Striping by the hint keeps callers on different
+	// processors from writing one shared counter twice per call.
+	active atomic.Int64
+	// snap is the shard's pin, the snapshot its owner last served on;
+	// only the owner touches it (see pinned).
+	snap *snapshot
 	// Reusable per-shard batch buffers: only the shard's owner touches
 	// them, so groups recycle the same storage forever.
 	reqs    [maxBatch]*request
@@ -347,6 +369,9 @@ type shard struct {
 	// Options.HotCache is 0). Only the shard's owner touches its
 	// key/value arrays — see hotcache's package comment.
 	cache *hotcache.Cache
+	// The tail pad keeps the next shard's flags off this shard's last
+	// cache line whatever size class the allocator puts shards in.
+	_ [64]byte
 }
 
 // signal leaves the worker a wake token (at most one is ever pending).
@@ -379,9 +404,11 @@ func (sh *shard) take() bool {
 // call it — they hold the close gate, so the signal cannot race Close
 // closing wake; the worker hands the shard back with a plain store, as
 // nothing it could have missed is left queued once it has drained.
+// missed is read before it is cleared, so a hand-back with nothing
+// missed writes only the owner flag.
 func (sh *shard) disown() {
 	sh.owner.Store(false)
-	if sh.missed.Swap(false) {
+	if sh.missed.Load() && sh.missed.Swap(false) {
 		sh.signal()
 	}
 }
@@ -406,7 +433,9 @@ func New(idx index.Index, opts Options) *Server {
 	first := newSnapshot(idx, opts.OwnIndex)
 	first.gen = s.gen.Add(1)
 	s.snap.Store(first)
-	s.pool.New = func() any { return &request{done: make(chan struct{}, 1)} }
+	s.pool.New = func() any {
+		return &request{done: make(chan struct{}, 1), hint: uint32(s.rr.Add(1) % uint64(shards))}
+	}
 	for i := range s.shards {
 		sh := &shard{ch: make(chan *request, depth), wake: make(chan struct{}, 1), cache: hotcache.New(opts.HotCache)}
 		s.shards[i] = sh
@@ -434,26 +463,27 @@ func newSnapshot(idx index.Index, owned bool) *snapshot {
 	return ns
 }
 
-// acquire registers a submission against the close gate. It returns
-// false when the server is closing: after closing flips, every acquire
-// backs out, so once active drains to zero no submission can ever touch
-// the shard channels again and Close may close the wake channels safely.
-func (s *Server) acquire() bool {
+// acquire registers a submission against the close gate, on the stripe
+// of shard gate. It returns false when the server is closing: after
+// closing flips, every acquire backs out, so once every stripe drains
+// to zero no submission can ever touch the shard channels again and
+// Close may close the wake channels safely.
+func (s *Server) acquire(gate *shard) bool {
 	if s.closing.Load() {
 		return false
 	}
-	s.active.Add(1)
+	gate.active.Add(1)
 	if s.closing.Load() { // re-check: Close may have begun between the two
-		s.release()
+		s.release(gate)
 		return false
 	}
 	return true
 }
 
 // release undoes acquire and wakes a draining Close when the last
-// in-flight submission leaves.
-func (s *Server) release() {
-	if s.active.Add(-1) == 0 && s.closing.Load() {
+// in-flight submission on its stripe leaves.
+func (s *Server) release(gate *shard) {
+	if gate.active.Add(-1) == 0 && s.closing.Load() {
 		select {
 		case s.drained <- struct{}{}:
 		default:
@@ -477,8 +507,9 @@ func (s *Server) release() {
 // then awaits the answers in order. The queries proceed concurrently
 // across the shards and coalesce into merge groups there, whatever
 // their kinds; a single query is the wave of one. A single query with
-// no deadline serves its own shard when the shard is free (see admit);
-// everything else is served by the shard workers. Whoever serves a
+// no deadline is answered on the calling goroutine when a shard is free,
+// without a queue slot (see admit); everything else is served by the
+// shard workers. Whoever serves a
 // query range-checks its vertices against the snapshot it pinned
 // (StatusBadRequest), so a reload to a smaller index cannot slip
 // between check and use. With Options.QueryTimeout set, one deadline
@@ -513,10 +544,18 @@ func (s *Server) do(reqs []*request, client string, qs []wire.Query, rs []wire.R
 	for i := range qs {
 		rs[i] = wire.Result{Kind: qs[i].Kind, Status: wire.StatusClosed, Dist: graph.Infinity, Far: -1, Path: rs[i].Path}
 	}
-	if len(qs) == 0 || !s.acquire() {
+	if len(qs) == 0 {
 		return reqs
 	}
-	defer s.release()
+	// The first envelope is taken before the close gate: its hint, which
+	// stays with the processor, picks the gate's stripe.
+	lead := s.pool.Get().(*request)
+	gate := s.shards[lead.hint]
+	if !s.acquire(gate) {
+		s.pool.Put(lead)
+		return reqs
+	}
+	defer s.release(gate)
 	// The deadline timer (if any) is armed before capability warming:
 	// QueryTimeout bounds the call end to end, and a stalled warm is
 	// exactly the kind of hang it exists to shed.
@@ -537,7 +576,13 @@ func (s *Server) do(reqs []*request, client string, qs []wire.Query, rs []wire.R
 		if expired {
 			rs[i].Status = s.timedOut()
 		} else {
-			r, rs[i].Status = s.admit(client, &qs[i], rs[i].Path, deadline, self)
+			if r = lead; i > 0 { // the first query always reaches admit
+				r = s.pool.Get().(*request)
+			}
+			if rs[i].Status = s.admit(r, client, &qs[i], rs[i].Path, deadline, self); rs[i].Status != wire.StatusOK {
+				s.putRequest(r)
+				r = nil
+			}
 			// Only a warm cut short by the deadline times out here.
 			expired = rs[i].Status == wire.StatusTimeout
 		}
@@ -550,6 +595,8 @@ func (s *Server) do(reqs []*request, client string, qs []wire.Query, rs []wire.R
 		delivered := false
 		switch {
 		case expired:
+		case r.state.Load() == stInline:
+			delivered = true
 		case deadline == nil:
 			<-r.done
 			delivered = true
@@ -581,30 +628,34 @@ func (s *Server) do(reqs []*request, client string, qs []wire.Query, rs []wire.R
 	return reqs[:0]
 }
 
-// admit takes one query through the door into a shard queue and sees
-// that it gets served. It returns the enqueued envelope, or nil and the
-// status that resolved the query on the spot.
+// admit takes one query through the door in envelope r and sees that it
+// gets served. It returns StatusOK when r is admitted — answered inline
+// or queued — or the status that resolved the query on the spot, and
+// then r is the caller's to recycle.
 //
 // With self set — a lone query (the wave of one) with no deadline — the
-// query serves itself: it prefers a shard that is idle, takes the
-// shard's ownership if it can, and drains the queue on this goroutine
-// until its own request is answered — the merge runs where the answer
-// is awaited, with no hand-off to a worker and back. Every other query
-// wakes the shard's worker: a wave's queries then run in parallel
-// across the shards, and a deadline is never left waiting behind a
-// merge its own caller runs.
-func (s *Server) admit(client string, q *wire.Query, dst []graph.NodeID, deadline <-chan time.Time, self bool) (*request, uint8) {
+// query serves itself. It tries its envelope's hint shard, then the
+// neighbour, and on the first that is idle and whose ownership it wins
+// it is served inline as a group of one: no queue slot, no round-robin
+// tick, and the merge runs where the answer is awaited, with no hand-off
+// to a worker and back. Only when both shards are busy does it take a
+// slot in the hint shard's queue, and then it still drains that queue
+// itself if it wins the shard. Every other query takes a slot in the
+// round-robin shard and wakes its worker: a wave's queries then run in
+// parallel across the shards, and a deadline is never left waiting
+// behind a merge its own caller runs.
+func (s *Server) admit(r *request, client string, q *wire.Query, dst []graph.NodeID, deadline <-chan time.Time, self bool) uint8 {
 	// An id no index could hold is refused ahead of admission, the way a
 	// door refuses a line it cannot parse — and the way hubclient must,
 	// the frame format having no way to carry it — so overload never
 	// changes the verdict on it.
 	if q.U < 0 || (q.Kind != wire.QEcc && q.V < 0) {
 		s.refused.Add(1)
-		return nil, wire.StatusBadRequest
+		return wire.StatusBadRequest
 	}
 	if s.ctl != nil && s.ctl.Shed(client) {
 		s.shed.Add(1)
-		return nil, wire.StatusOverloaded
+		return wire.StatusOverloaded
 	}
 	// Lazily materialized capability state (the matrix next-hop table,
 	// the inverted eccentricity lists) is warmed here, on the submitting
@@ -614,29 +665,39 @@ func (s *Server) admit(client string, q *wire.Query, dst []graph.NodeID, deadlin
 	// warmed the check is one atomic load.
 	if q.Kind != wire.QDist {
 		if err := s.warmFor(q.Kind, deadline); err != nil {
-			return nil, wire.StatusOf(err)
+			return wire.StatusOf(err)
 		}
 	}
-	r := s.pool.Get().(*request)
 	r.kind, r.u, r.v, r.path = q.Kind, q.U, q.V, dst
 	r.status, r.d, r.far = wire.StatusOK, graph.Infinity, -1
 	r.state.Store(stPending)
-	i := s.rr.Add(1) % uint64(len(s.shards))
-	sh := s.shards[i]
-	if self && !sh.idle() {
-		if next := s.shards[(i+1)%uint64(len(s.shards))]; next.idle() {
-			sh = next
+	var sh *shard
+	if self {
+		for k := range uint32(min(2, len(s.shards))) {
+			i := (r.hint + k) % uint32(len(s.shards))
+			if c := s.shards[i]; c.idle() && c.owner.CompareAndSwap(false, true) {
+				// Anything queued meanwhile signalled the worker, whose
+				// turned-away take sets missed for disown to answer.
+				r.hint = i
+				r.state.Store(stInline)
+				c.reqs[0] = r
+				s.serveGroup(c, 1)
+				c.disown()
+				return wire.StatusOK
+			}
 		}
+		sh = s.shards[r.hint]
+	} else {
+		sh = s.shards[s.rr.Add(1)%uint64(len(s.shards))]
 	}
 	select {
 	case sh.ch <- r:
 	default:
-		s.putRequest(r)
 		s.rejected.Add(1)
 		if s.ctl != nil {
 			s.ctl.OnQueueFull(client)
 		}
-		return nil, wire.StatusOverloaded
+		return wire.StatusOverloaded
 	}
 	if self && sh.owner.CompareAndSwap(false, true) {
 		// r is still queued unless an earlier owner took it, and an owner
@@ -648,7 +709,7 @@ func (s *Server) admit(client string, q *wire.Query, dst []graph.NodeID, deadlin
 	} else {
 		sh.signal()
 	}
-	return r, wire.StatusOK
+	return wire.StatusOK
 }
 
 // timedOut accounts one query abandoned at the deadline.
@@ -737,22 +798,17 @@ type warmFlight struct {
 // deadline (the warm itself keeps running and completes the snapshot
 // for everyone behind it).
 func (s *Server) warmFor(kind uint8, deadline <-chan time.Time) error {
+	// The common case reads the installed snapshot unpinned: it touches
+	// no index memory, and a pin would be one more write every caller
+	// shares.
+	if snap := s.snap.Load(); snap.warm == nil || snap.flight(kind).warmed.Load() {
+		return nil
+	}
 	snap := s.pin()
 	if snap == nil {
 		return ErrClosed
 	}
-	if snap.warm == nil {
-		snap.unpin()
-		return nil
-	}
-	w := &snap.eccWarm
-	if kind == wire.QPath {
-		w = &snap.pathsWarm
-	}
-	if w.warmed.Load() {
-		snap.unpin()
-		return nil
-	}
+	w := snap.flight(kind)
 	w.mu.Lock()
 	ch := w.done
 	if ch == nil {
@@ -793,10 +849,21 @@ func (s *Server) warmFor(kind uint8, deadline <-chan time.Time) error {
 	return err
 }
 
+// flight is the snapshot's single-flight warm of the capability a
+// query kind needs.
+func (snap *snapshot) flight(kind uint8) *warmFlight {
+	if kind == wire.QPath {
+		return &snap.pathsWarm
+	}
+	return &snap.eccWarm
+}
+
 // runWarm executes one capability warm attempt, contained against
-// panics. It owns one snapshot reference and the flight's broadcast
-// channel.
+// panics — a fault on a lost page of a truncated mapping included, as
+// in serveGroup. It owns one snapshot reference and the flight's
+// broadcast channel.
 func (s *Server) runWarm(snap *snapshot, kind uint8, w *warmFlight, ch chan struct{}) {
+	debug.SetPanicOnFault(true) // this goroutine only ever runs the warm
 	defer snap.unpin()
 	err := func() (err error) {
 		defer func() {
@@ -860,6 +927,7 @@ func (s *Server) Swap(next index.Index) index.Index {
 	old := s.snap.Swap(ns)
 	idx := old.idx
 	old.retire()
+	s.wakeAll()
 	return idx
 }
 
@@ -875,6 +943,24 @@ func (s *Server) SwapRetire(next index.Index) {
 	ns.gen = s.gen.Add(1)
 	old := s.snap.Swap(ns)
 	old.retire()
+	s.wakeAll()
+}
+
+// wakeAll signals every worker after a swap: a woken worker moves its
+// shard's pin to the installed snapshot (see run), so a retired index is
+// released as soon as its in-flight groups drain, even on a server with
+// no traffic to move the pins. The close gate keeps the signals off
+// closed wake channels; a closing server's workers drop their pins as
+// they exit.
+func (s *Server) wakeAll() {
+	gate := s.shards[0]
+	if !s.acquire(gate) {
+		return
+	}
+	for _, sh := range s.shards {
+		sh.signal()
+	}
+	s.release(gate)
 }
 
 // Stats is a point-in-time view of served traffic.
@@ -898,7 +984,8 @@ type Stats struct {
 	// controller).
 	PerClientHot int
 	// Queued is the instantaneous number of admitted requests waiting in
-	// the shard queues (a pressure gauge, not a counter).
+	// the shard queues (a pressure gauge, not a counter). A lone query
+	// served inline never takes a queue slot, so it is never counted.
 	Queued int
 	// Panics counts recovered backend panics (events, not requests): a
 	// group that panics mid-merge is recovered by whoever was serving
@@ -988,8 +1075,10 @@ func (s *Server) Close() {
 	// channel. Whatever is still queued (envelopes abandoned at their
 	// deadline) has a wake token pending, so each worker drains it
 	// before its range over wake ends.
-	for s.active.Load() != 0 {
-		<-s.drained
+	for _, sh := range s.shards {
+		for sh.active.Load() != 0 {
+			<-s.drained
+		}
 	}
 	for _, sh := range s.shards {
 		close(sh.wake)
@@ -1005,22 +1094,46 @@ func (s *Server) Close() {
 }
 
 // run is the shard worker loop: park until signalled, then take the
-// shard and drain its queue group by group until it is empty. Every
-// request left to the worker was enqueued before its token was sent: if
-// the worker finds the shard owned, the owner wakes it again on
-// hand-back (take, disown), and a request enqueued while the worker
-// itself owned the shard sent a token of its own. All computation and
-// delivery happens inside serveGroup, which contains backend panics — a
-// worker survives any number of faults and keeps draining its queue.
+// shard, move its pin to the installed snapshot and drain its queue
+// group by group until it is empty. Every request left to the worker
+// was enqueued before its token was sent: if the worker finds the shard
+// owned, the owner wakes it again on hand-back (take, disown), and a
+// request enqueued while the worker itself owned the shard sent a token
+// of its own. All computation and delivery happens inside serveGroup,
+// which contains backend panics — a worker survives any number of
+// faults and keeps draining its queue. Once Close has closed wake no
+// submitter is left to own the shard, and the worker drops its pin.
 func (s *Server) run(sh *shard) {
 	defer s.wg.Done()
 	for range sh.wake {
 		if sh.take() {
+			s.pinned(sh)
 			for s.serveNext(sh) {
 			}
 			sh.owner.Store(false)
 		}
 	}
+	if sh.snap != nil {
+		sh.snap.unpin()
+		sh.snap = nil
+	}
+}
+
+// pinned returns the snapshot the shard serves on, first moving the
+// shard's pin to the installed snapshot if a swap replaced it. The
+// caller must own the shard. pin cannot return nil here: a group is
+// served for submitters holding the close gate, and a worker runs
+// before Close retires the final snapshot.
+func (s *Server) pinned(sh *shard) *snapshot {
+	if snap := s.snap.Load(); snap == sh.snap {
+		return snap
+	}
+	snap := s.pin()
+	if sh.snap != nil {
+		sh.snap.unpin()
+	}
+	sh.snap = snap
+	return snap
 }
 
 // serveNext is the one place a request leaves a shard queue. The
@@ -1043,33 +1156,32 @@ coalesce:
 		return false
 	}
 	s.serveGroup(sh, n)
-	for i := 0; i < n; i++ {
-		sh.reqs[i] = nil
-	}
 	return true
 }
 
-// serveGroup answers one coalesced group on one snapshot, probing the
+// serveGroup answers the group sh.reqs[:n] on one snapshot, probing the
 // shard's hot cache (when enabled) for distance requests before paying
-// for the merge and feeding computed answers back in. It runs on
-// whichever goroutine owns the shard — the worker, or a lone submitter
-// serving itself. A panic out of the backend — or an injected worker
-// fault — is recovered here: every undelivered request in the group
-// fails StatusBackendFault (counted in Faulted, the panic event in
-// Panics), completions are still signaled so no caller ever hangs, and
-// the owner carries on. The snapshot pin is dropped on every path, so
-// fault containment never leaks a reference that would keep a retired
-// mmap view mapped.
+// for the merge and feeding computed answers back in, and leaves
+// sh.reqs empty. It runs on whichever goroutine owns the shard — the
+// worker, or a lone submitter serving itself. A panic out of the
+// backend — or an injected worker fault, or a fault on a page of a
+// mapped container that was truncated under the mapping — is recovered
+// here: every undelivered request in the group fails
+// StatusBackendFault (counted in Faulted, the panic event in Panics),
+// completions are still signaled so no caller ever hangs, and the owner
+// carries on.
 func (s *Server) serveGroup(sh *shard, n int) {
-	// Pin the snapshot for the whole group: a concurrent SwapRetire
-	// can replace the pointer at any time, but the old index is only
-	// released once this pin (and every other) is dropped — the group
-	// always finishes on mapped memory. pin cannot return nil here:
-	// the submitters of these requests hold the close gate, so the
-	// final snapshot cannot have retired yet.
-	snap := s.pin()
+	// The shard's pin holds the snapshot for the whole group: a
+	// concurrent SwapRetire can replace the pointer at any time, but the
+	// old index is only released once this shard (and every other) has
+	// moved its pin — the group always finishes on mapped memory.
+	snap := s.pinned(sh)
+	// Panic-on-fault turns the SIGBUS of a lost mapped page into a panic
+	// the deferred recover contains. It is a per-goroutine setting, and
+	// submitters serve groups too, so it is set and restored per group.
+	onFault := debug.SetPanicOnFault(true)
 	defer func() {
-		snap.unpin()
+		debug.SetPanicOnFault(onFault)
 		if p := recover(); p != nil {
 			s.panics.Add(1)
 			s.health.notePanic()
@@ -1079,6 +1191,7 @@ func (s *Server) serveGroup(sh *shard, n int) {
 				}
 			}
 		}
+		clear(sh.reqs[:n])
 	}()
 	if err := faultinject.Fire(faultinject.PointServerWorker); err != nil {
 		// An injected non-panic backend error fails the group the same
@@ -1170,12 +1283,15 @@ func (s *Server) deliver(sh *shard, r *request) {
 	if deliverHook != nil {
 		deliverHook(r)
 	}
-	if r.state.CompareAndSwap(stPending, stDelivered) {
+	switch {
+	case r.state.Load() == stInline:
+		sh.served.Add(1)
+	case r.state.CompareAndSwap(stPending, stDelivered):
 		sh.served.Add(1)
 		r.done <- struct{}{}
-		return
+	default:
+		s.putRequest(r)
 	}
-	s.putRequest(r)
 }
 
 // failRequest resolves a request StatusBackendFault (or recycles it if
@@ -1186,12 +1302,15 @@ func (s *Server) failRequest(r *request) {
 	r.status = wire.StatusBackendFault
 	r.d = graph.Infinity
 	r.far = -1
-	if r.state.CompareAndSwap(stPending, stDelivered) {
+	switch {
+	case r.state.Load() == stInline:
+		s.faulted.Add(1)
+	case r.state.CompareAndSwap(stPending, stDelivered):
 		s.faulted.Add(1)
 		r.done <- struct{}{}
-		return
+	default:
+		s.putRequest(r)
 	}
-	s.putRequest(r)
 }
 
 // serveOne answers a single in-range request of any kind on one

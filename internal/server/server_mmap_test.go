@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -270,5 +271,122 @@ func waitFor(t *testing.T, desc string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", desc)
 		case <-time.After(time.Millisecond):
 		}
+	}
+}
+
+// TestSwapReleasesOnIdleServer: every shard holds a pin on the snapshot
+// its owners serve on, and a swap wakes the workers to move those pins,
+// so with no traffic at all after the swap the retired index is still
+// released promptly — not at each shard's next query. Both doors are
+// checked: SwapRetire releases the index it retires, and a plain Swap
+// away from an owned snapshot releases that one.
+func TestSwapReleasesOnIdleServer(t *testing.T) {
+	path := alignedContainerPath(t)
+	var violations atomic.Int64
+	first := openViewIndex(t, path, &violations)
+	srv := New(first, Options{Shards: 2, OwnIndex: true})
+	defer srv.Close()
+	// Pin the snapshot on both shards: a wave spreads over the workers,
+	// the lone queries serve their callers' shards.
+	load := func() {
+		pairs := [][2]graph.NodeID{{0, 17}, {3, 40}, {5, 99}, {8, 120}}
+		srv.TryQueryBatch("c", pairs, make([]graph.Weight, len(pairs)), make([]error, len(pairs)))
+		for _, p := range pairs {
+			srv.TryQuery("c", p[0], p[1])
+		}
+	}
+	load()
+	second := openViewIndex(t, path, &violations)
+	srv.SwapRetire(second)
+	waitFor(t, "SwapRetire to release the retired index with no traffic", func() bool { return first.released.Load() })
+	load()
+	srv.Swap(openViewIndex(t, path, &violations))
+	waitFor(t, "Swap to release the owned snapshot it replaced with no traffic", func() bool { return second.released.Load() })
+	if v := violations.Load(); v != 0 {
+		t.Fatalf("%d lifecycle violations", v)
+	}
+}
+
+// TestTruncatedMappingFaultsContained: a container truncated under a
+// live mapping loses its pages, and the next touch of one raises SIGBUS.
+// Whoever serves the group — a worker, or a lone caller serving itself —
+// runs it with panic-on-fault, so the fault is a contained backend
+// panic: the query resolves ErrBackendFault, the health state goes
+// Failed, the accounting identity holds and the process lives on.
+func TestTruncatedMappingFaultsContained(t *testing.T) {
+	path := alignedContainerPath(t)
+	x, err := index.LoadMmap(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.Owned() {
+		t.Fatal("LoadMmap of an aligned container returned an owned index")
+	}
+	n := x.Meta().Vertices
+	srv := New(x, Options{Shards: 2, OwnIndex: true})
+	defer srv.Close()
+
+	stop := make(chan struct{})
+	var submitted, faults, wrong atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < 3; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
+			// Caller 0 sends waves, served by the workers; the others
+			// send lone queries, served on their own goroutines.
+			size := 1
+			if c == 0 {
+				size = 4
+			}
+			pairs := make([][2]graph.NodeID, size)
+			out, errs := make([]graph.Weight, size), make([]error, size)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i := range pairs {
+					pairs[i] = [2]graph.NodeID{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))}
+				}
+				if size > 1 {
+					srv.TryQueryBatch("c", pairs, out, errs)
+				} else {
+					out[0], errs[0] = srv.TryQuery("c", pairs[0][0], pairs[0][1])
+				}
+				submitted.Add(int64(len(pairs)))
+				for _, err := range errs {
+					switch {
+					case err == nil:
+					case errors.Is(err, ErrBackendFault):
+						faults.Add(1)
+					default:
+						wrong.Add(1)
+					}
+				}
+			}
+		}(c)
+	}
+	waitFor(t, "traffic before the truncation", func() bool { return submitted.Load() > 200 })
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "faults after the truncation", func() bool {
+		h, _ := srv.Health()
+		return faults.Load() > 20 && h == Failed
+	})
+	close(stop)
+	wg.Wait()
+	if w := wrong.Load(); w != 0 {
+		t.Errorf("%d queries failed with something other than ErrBackendFault", w)
+	}
+	st := srv.Stats()
+	if st.Panics == 0 || st.Faulted < uint64(faults.Load()) {
+		t.Errorf("faults not accounted: %+v, %d seen", st, faults.Load())
+	}
+	if got := st.Served + st.Rejected + st.Shed + st.Faulted + st.Timeouts; got != uint64(submitted.Load()) {
+		t.Errorf("accounting identity: %d counted, %d submitted (%+v)", got, submitted.Load(), st)
 	}
 }
