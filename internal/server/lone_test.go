@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -73,7 +74,7 @@ func BenchmarkDoLone(b *testing.B) {
 		pairs[i] = pool[zipf.Uint64()]
 	}
 	for _, callers := range []int{1, 2} {
-		b.Run(map[int]string{1: "callers=1", 2: "callers=2"}[callers], func(b *testing.B) {
+		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
 			srv := New(idx, Options{Shards: 2, HotCache: 4096, Admission: &flowctl.Options{}})
 			defer srv.Close()
 			for _, p := range pairs { // warm the cache and the envelope pool
