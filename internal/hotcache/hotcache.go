@@ -4,23 +4,22 @@
 // pairs a hash probe (a handful of loads over two cache lines) should
 // replace the linear-in-label-length hub merge entirely.
 //
-// The cache is deliberately not concurrent: each server shard owns one
-// Cache, and only the goroutine that currently owns the shard — its
-// worker, or a submitter serving its own query — touches the key/value
-// arrays. The shard's ownership flag is taken and released with
-// atomics, which orders one owner's stores before the next owner's
-// loads, so lookups and inserts stay plain loads and stores — no locks,
-// no atomics, no false sharing between shards. The only cross-goroutine
-// traffic is the hit/miss/evict counters (read by Stats) and the
-// generation word, both atomic.
+// The cache is deliberately not concurrent: each server shard has one
+// Cache, and its single writer is whichever goroutine holds the shard's
+// lock — the shard's worker, or a submitter serving its own query. The
+// lock orders one holder's stores before the next holder's loads, so
+// lookups and inserts stay plain loads and stores — no locks or atomics
+// of the cache's own, no false sharing between shards. The only
+// cross-goroutine traffic is the hit/miss/evict counters (read by
+// Stats) and the generation word, both atomic.
 //
 // Coherence is generational, not surgical: the server bumps its
-// snapshot generation on every Swap/SwapRetire, and the shard's owner
-// calls ResetIfStale before probing. A stale cache is discarded
+// snapshot generation on every Swap/SwapRetire, and the shard's lock
+// holder calls ResetIfStale before probing. A stale cache is discarded
 // wholesale — after a swap the served graph may differ arbitrarily, so
 // there is nothing worth keeping, and the reset is O(size) of int64
-// stores by the one goroutine that owns the arrays. Between the swap
-// and the owner's next group the cache is never consulted, so a stale
+// stores by the one goroutine that holds the arrays. Between the swap
+// and the shard's next group the cache is never consulted, so a stale
 // answer can never be served.
 package hotcache
 
@@ -34,8 +33,9 @@ import (
 // a probe touches exactly two lines (keys, then values on a hit).
 const ways = 4
 
-// Cache is a set-associative pair→distance cache owned by one
-// goroutine at a time. The zero value is not usable; call New.
+// Cache is a set-associative pair→distance cache with a single writer
+// at a time — the holder of its server shard's lock. The zero value is
+// not usable; call New.
 type Cache struct {
 	keys []uint64       // sets*ways, 0 = empty slot
 	vals []graph.Weight // parallel to keys
@@ -43,7 +43,7 @@ type Cache struct {
 	mask uint64         // set count - 1 (sets are a power of two)
 	gen  uint64         // generation the current contents answer for
 	// Counters are atomic only because Stats reads them from other
-	// goroutines; the owner is the only writer.
+	// goroutines; the shard's lock holder is the only writer.
 	hits   atomic.Uint64
 	misses atomic.Uint64
 	evicts atomic.Uint64

@@ -1,39 +1,34 @@
 package server
 
-// Env-gated measured sweep of the shard coalescing bound (batchSize).
-// Two halves. The server half saturates one server per candidate size
-// with blocking clients and reports end-to-end queries/sec plus the
-// achieved group factor (Served/Batches); sizes alternate inside each
-// round so thermal drift hits all candidates equally, best round kept.
-// The merge half takes the envelope out: it feeds DistanceBatch groups
-// of each size directly and reports ns/query. Run with:
+// Env-gated measured sweep of the shard coalescing bound (batchSize) at
+// the merge: it feeds DistanceBatch groups of each size directly, with
+// the serving envelope out of the picture, and reports ns/query; sizes
+// alternate inside each round so thermal drift hits all candidates
+// equally, best round kept. Run with:
 //
 //	BATCHSIZE_SWEEP=1 go test -count=1 -run TestBatchSizeSweep -v ./internal/server/
 //
 // Recorded on the reference box (single-core Xeon, gnm 10000/18000,
-// 2 shards, 64 clients, best of 6 rounds):
+// best of 6 rounds):
 //
-//	server  batch=1..8   0.25–0.26 Mq/s, group factor 1.00 throughout
-//	merge   group=1      3133 ns/q   (scalar fallback)
-//	merge   group=2      3161 ns/q   (still below the 3-stream fill)
-//	merge   group=3      2345 ns/q   (fills the interleave — best)
-//	merge   group=4      2406 ns/q   ┐
-//	merge   group=6      2374 ns/q   ├ plateau: the interleave refills
-//	merge   group=8      2410 ns/q   ┘ streams continuously anyway
+//	group=1      3133 ns/q   (scalar fallback)
+//	group=2      3161 ns/q   (still below the 3-stream fill)
+//	group=3      2345 ns/q   (fills the interleave — best)
+//	group=4      2406 ns/q   ┐
+//	group=6      2374 ns/q   ├ plateau: the interleave refills
+//	group=8      2410 ns/q   ┘ streams continuously anyway
 //
-// Two lessons. On a single-core host the blocking door hands off
-// sender→receiver so shard queues never hold a backlog (group factor
-// 1.00) and batchSize cannot matter end to end; the envelope, not the
-// merge, is the bottleneck there. When queues do back up, the merge
-// half shows the group is worth 25% per query at size 3 and nothing
-// more beyond it — hub.QueryBatch refills its three streams
+// When queues back up, a group is worth 25% per query at size 3 and
+// nothing more beyond it — hub.QueryBatch refills its three streams
 // continuously, so a size-6 group is just two fills of the same
 // pipeline. batchSize stays 3: the smallest size on the plateau, so
 // deeper coalescing cannot buy merge throughput but would add queueing
-// delay for the requests at the back of the group.
+// delay for the requests at the back of the group. The merge alone
+// decides it: end to end (64 blocking clients, 2 shards) the group
+// factor read 1.00 at every size from 1 to 8, because a blocking door
+// hands off sender→receiver before a queue can back up.
 import (
 	"os"
-	"sync"
 	"testing"
 	"time"
 
@@ -44,50 +39,10 @@ func TestBatchSizeSweep(t *testing.T) {
 	if os.Getenv("BATCHSIZE_SWEEP") == "" {
 		t.Skip("set BATCHSIZE_SWEEP=1 to run the measured sweep")
 	}
-	defer SetBatchSizeForTest(3)
 	const n = 10000
 	_, idx := buildIndex(t, n, 18000, 17)
 	sizes := []int{1, 2, 3, 4, 6, 8}
 	const rounds = 6
-	const clients = 64
-	const perClient = 1000
-	best := map[int]float64{}
-	coalesce := map[int]float64{}
-	for r := 0; r < rounds; r++ {
-		for _, size := range sizes {
-			SetBatchSizeForTest(size)
-			srv := New(idx, Options{Shards: 2, QueueDepth: 256})
-			var wg sync.WaitGroup
-			t0 := time.Now()
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for k := 0; k < perClient; k++ {
-						u := graph.NodeID((c*7919 + k*104729) % n)
-						v := graph.NodeID((c*1299709 + k*15485863) % n)
-						query(srv, u, v)
-					}
-				}(c)
-			}
-			wg.Wait()
-			el := time.Since(t0)
-			st := srv.Stats()
-			srv.Close()
-			qps := float64(clients*perClient) / el.Seconds()
-			if qps > best[size] {
-				best[size] = qps
-				coalesce[size] = float64(st.Served) / float64(st.Batches)
-			}
-		}
-	}
-	for _, size := range sizes {
-		t.Logf("batch=%d  %6.2f Mq/s  group %.2f", size, best[size]/1e6, coalesce[size])
-	}
-
-	// Merge-level half: what a coalesced group of L is worth once it
-	// reaches DistanceBatch, with the serving envelope out of the
-	// picture. This is the number that justifies coalescing at all.
 	pairs := make([][2]graph.NodeID, 1024)
 	for i := range pairs {
 		pairs[i] = [2]graph.NodeID{graph.NodeID((i * 7919) % n), graph.NodeID((i * 104729) % n)}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -348,7 +349,8 @@ func (p *stackProbe) calls() []bool {
 // wave are left to the shard workers. Two lone callers whose queries
 // are inside the backend at the same moment are each served on their
 // own goroutine: one shard is busy, so the other caller is served on
-// the free one, not queued behind the first for a worker.
+// the free one, not queued behind the first for a worker. Only a lone
+// caller that finds every shard busy is queued for the worker.
 func TestDoWhoServes(t *testing.T) {
 	twoCallers := func(s *Server) {
 		var wg sync.WaitGroup
@@ -395,6 +397,49 @@ func TestDoWhoServes(t *testing.T) {
 				t.Errorf("%s: call %d ran on a worker = %v, want %v", tc.name, i, onWorker, tc.worker)
 			}
 		}
+	}
+
+	// A lone caller that finds every shard busy queues like any other
+	// query: with the one shard held by a caller serving itself inside
+	// the backend, a second lone caller takes the one queue slot — the
+	// worker, waiting for the shard, must not hold it outside the queue —
+	// a third is refused, and the queued query is served on the worker
+	// once the shard is free.
+	gate := make(chan struct{})
+	p := &stackProbe{Fixed: indextest.Fixed{N: 16, Gate: gate}}
+	srv := New(p, Options{Shards: 1, QueueDepth: 1})
+	waitFor := func(what string, cond func() bool) {
+		for end := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(end) {
+				close(gate)
+				t.Fatalf("busy shard: timed out waiting for %s", what)
+			}
+		}
+	}
+	errs := make(chan error, 2)
+	lone := func(u graph.NodeID) {
+		_, err := srv.TryQuery("c", u, 5)
+		errs <- err
+	}
+	go lone(1)
+	waitFor("the first caller inside the backend", func() bool { return p.Started.Load() == 1 })
+	go lone(2)
+	waitFor("the second caller to queue", func() bool { return srv.Stats().Queued == 1 })
+	if _, err := srv.TryQuery("c", 3, 5); !errors.Is(err, ErrOverloaded) {
+		t.Errorf("busy shard: third caller err = %v, want ErrOverloaded", err)
+	}
+	close(gate)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Errorf("busy shard: lone caller err = %v", err)
+		}
+	}
+	srv.Close()
+	if got, want := p.calls(), []bool{false, true}; !slices.Equal(got, want) {
+		t.Errorf("busy shard: backend calls ran on a worker = %v, want %v", got, want)
+	}
+	if st := srv.Stats(); st.Served != 2 || st.Rejected != 1 {
+		t.Errorf("busy shard: served %d, rejected %d, want 2 and 1", st.Served, st.Rejected)
 	}
 }
 

@@ -1,21 +1,23 @@
 // Package server is the in-process concurrent query service over an
 // index.Index: client goroutines submit (u,v) pairs, the server shards
-// them across request queues, and whoever owns a shard drains its queue
+// them across request queues, and each shard's worker drains its queue
 // in groups of up to three adjacent requests to feed the interleaved
 // merge of the hub-label batch path. The served index is held behind an
 // atomic snapshot pointer, so a rebuilt or freshly loaded index can be
 // swapped in under live traffic without pausing queries.
 //
-// Each shard has one owner at a time. Its worker goroutine takes the
-// shard when signalled; a lone query with no deadline takes it itself
-// when the shard is free and is answered on the calling goroutine, with
-// no queue slot and no hand-off to a worker and back. Such a query
-// starts at the shard its pooled envelope remembers, so each processor
-// keeps to one shard, and the lone path — close gate stripe, owner
-// flag, snapshot pin, hot cache — writes only that shard. Waves and
-// deadline-bound calls always leave the work to the worker, so a wave
-// spreads over the shards and a caller's deadline never waits behind
-// its own merge.
+// Each shard is guarded by one mutex: whoever holds it serves the
+// shard, and nobody else touches its buffers, hot cache or pin. A lone
+// query with no deadline that finds its shard's queue empty and the
+// lock free (TryLock) is served on the calling goroutine, with no queue
+// slot and no hand-off to a worker and back. Such a query starts at the
+// shard its pooled envelope remembers, so each processor keeps to one
+// shard, and the lone path — close gate stripe, lock, snapshot pin, hot
+// cache — writes only that shard. Everything else — waves,
+// deadline-bound calls, and a lone query that finds both of its shards
+// busy — is queued and left to the worker, which waits for the lock
+// when a caller holds it. A wave thus spreads over the shards and a
+// caller's deadline never waits behind its own merge.
 //
 // The per-query hot path performs zero allocations in steady state:
 // request envelopes (including their reply channels) are pooled, shard
@@ -41,8 +43,8 @@
 //
 // Snapshots are reference-counted, which is what makes serving
 // view-backed (mmap-loaded) indexes safe: each shard holds a pin on the
-// snapshot its owner serves on, moved when a swap installs another, and
-// a capability warm pins the snapshot it warms. An index installed as
+// snapshot it serves on, moved when a swap installs another, and a
+// capability warm pins the snapshot it warms. An index installed as
 // owned (Options.OwnIndex, SwapRetire) is released (for a view,
 // unmapped) only when the retired snapshot's last pin drops. Hot reload
 // is therefore one SwapRetire: new queries land on the new mapping
@@ -109,23 +111,17 @@ var (
 	ErrBadRequest = wire.ErrBadRequest
 )
 
-// maxBatch bounds the per-shard group buffers; batchSize may be
-// re-tuned below it without resizing shards.
-const maxBatch = 8
-
 // batchSize is how many adjacent requests a shard coalesces into one
 // DistanceBatch call. Three matches the stream count of the interleaved
-// merge in hub.QueryBatch, and the value is pinned by measurement, not
-// inheritance: the env-gated sweep in batchsize_sweep_test.go measures
-// both the serving envelope and the bare merge across sizes 1–8 —
-// groups of 1–2 fall back to the scalar merge (~3.1 µs/q on gnm10k),
-// 3 fills the interleave (2.3 µs/q), and everything past 3 sits on the
-// same plateau because the interleave refills its streams continuously
-// regardless of group length. 3 is the smallest size on the plateau;
-// deeper coalescing buys no merge throughput and only adds queueing
-// delay for the requests at the back of a group. A var only so the
-// sweep harness can set it; nothing else may write it.
-var batchSize = 3
+// merge in hub.QueryBatch, and the value is pinned by measurement: the
+// merge sweep in batchsize_sweep_test.go feeds DistanceBatch groups of
+// 1–8 — groups of 1–2 fall back to the scalar merge (~3.1 µs/q on
+// gnm10k), 3 fills the interleave (2.3 µs/q), and everything past 3
+// sits on the same plateau because the interleave refills its streams
+// continuously regardless of group length. 3 is the smallest size on
+// the plateau; deeper coalescing buys no merge throughput and only adds
+// queueing delay for the requests at the back of a group.
+const batchSize = 3
 
 // Options configures a Server.
 type Options struct {
@@ -187,7 +183,7 @@ type Server struct {
 	// Stats folds it into Served beside the workers' own refusals.
 	refused atomic.Uint64
 	// gen issues snapshot generation numbers: every installed snapshot
-	// (New, Swap, SwapRetire) gets the next value. Shard owners compare
+	// (New, Swap, SwapRetire) gets the next value. Shards compare
 	// the generation of the snapshot they pinned against their hot
 	// cache's fill generation and discard stale contents before probing
 	// (hotcache.ResetIfStale) — tagging contents by the pinned snapshot,
@@ -212,7 +208,7 @@ type Server struct {
 // makes retiring a snapshot safe under live traffic.
 //
 // refs starts at 1 — the "installed" reference the Server itself holds.
-// Each shard holds one more while its owners serve on the snapshot: the
+// Each shard holds one more while it serves on the snapshot: the
 // first group after a swap moves the shard's pin to the installed
 // snapshot (see pinned), so a query pays no reference count of its own.
 // A capability warm pins the snapshot for the duration of the warm.
@@ -314,7 +310,7 @@ const (
 // the fields of its wire.Result coming out.
 type request struct {
 	kind   uint8 // wire.QDist / QPath / QEcc
-	status uint8 // wire.Status*, written by the shard owner before delivery
+	status uint8 // wire.Status*, written under the shard lock before delivery
 	u, v   graph.NodeID
 	d      graph.Weight
 	far    graph.NodeID
@@ -334,20 +330,20 @@ type request struct {
 	hint uint32
 }
 
+// shard is one request queue and the state that serves it. mu is held
+// by whoever serves the shard — its worker, or a lone submitter serving
+// itself — and everything below it except the atomics is touched only
+// under mu.
 type shard struct {
 	ch chan *request
-	// owner is held by whoever drains the queue — the worker, or a lone
-	// submitter serving itself. Only the owner takes requests off ch, and
-	// it answers every request it took before letting go.
-	owner atomic.Bool
-	// missed records a worker that was woken while a submitter owned the
-	// shard; that submitter wakes it again on hand-back (see take).
-	missed atomic.Bool
 	// wake (capacity 1) is what the worker parks on. A token means "the
-	// queue may hold work nobody owns"; the worker never parks on ch
-	// itself, since a send to a worker parked there would hand it the
-	// request before its submitter could serve it.
+	// queue may hold work"; it is sent after every enqueue, and a woken
+	// worker waits for mu rather than giving up, so no token is lost.
+	// The worker never parks on ch itself: a request it received there
+	// while waiting for mu would sit outside the queue, and QueueDepth
+	// would no longer bound admitted work.
 	wake chan struct{}
+	mu   sync.Mutex
 	// active is this shard's stripe of the close gate: it counts the
 	// submissions between acquire and release whose first envelope
 	// hinted at this shard. Close waits for every stripe to drain before
@@ -355,21 +351,20 @@ type shard struct {
 	// channel close. Striping by the hint keeps callers on different
 	// processors from writing one shared counter twice per call.
 	active atomic.Int64
-	// snap is the shard's pin, the snapshot its owner last served on;
-	// only the owner touches it (see pinned).
+	// snap is the shard's pin, the snapshot it last served on (see
+	// pinned).
 	snap *snapshot
-	// Reusable per-shard batch buffers: only the shard's owner touches
-	// them, so groups recycle the same storage forever.
-	reqs    [maxBatch]*request
-	pairs   [maxBatch][2]graph.NodeID
-	out     [maxBatch]graph.Weight
+	// Reusable per-shard batch buffers, so groups recycle the same
+	// storage forever.
+	reqs    [batchSize]*request
+	pairs   [batchSize][2]graph.NodeID
+	out     [batchSize]graph.Weight
 	served  atomic.Uint64
 	batches atomic.Uint64
 	// cache is the shard's private Zipf-hot result cache (nil when
-	// Options.HotCache is 0). Only the shard's owner touches its
-	// key/value arrays — see hotcache's package comment.
+	// Options.HotCache is 0) — see hotcache's package comment.
 	cache *hotcache.Cache
-	// The tail pad keeps the next shard's flags off this shard's last
+	// The tail pad keeps the next shard's lock off this shard's last
 	// cache line whatever size class the allocator puts shards in.
 	_ [64]byte
 }
@@ -379,37 +374,6 @@ func (sh *shard) signal() {
 	select {
 	case sh.wake <- struct{}{}:
 	default:
-	}
-}
-
-// idle reports a shard nobody owns with nothing queued: a lone submitter
-// enqueueing there can expect to take it. It is a hint, not a claim.
-func (sh *shard) idle() bool { return !sh.owner.Load() && len(sh.ch) == 0 }
-
-// take claims the shard for its worker. When someone else holds it, the
-// worker records the miss before trying once more, so either the retry
-// wins or the holder's hand-back, which comes after the retry, sees the
-// miss and wakes the worker again: work the holder left queued is never
-// stranded.
-func (sh *shard) take() bool {
-	if sh.owner.CompareAndSwap(false, true) {
-		return true
-	}
-	sh.missed.Store(true)
-	return sh.owner.CompareAndSwap(false, true)
-}
-
-// disown hands the shard back from a submitter that served itself,
-// waking the worker if it was turned away meanwhile. Only submitters
-// call it — they hold the close gate, so the signal cannot race Close
-// closing wake; the worker hands the shard back with a plain store, as
-// nothing it could have missed is left queued once it has drained.
-// missed is read before it is cleared, so a hand-back with nothing
-// missed writes only the owner flag.
-func (sh *shard) disown() {
-	sh.owner.Store(false)
-	if sh.missed.Load() && sh.missed.Swap(false) {
-		sh.signal()
 	}
 }
 
@@ -509,12 +473,12 @@ func (s *Server) release(gate *shard) {
 // their kinds; a single query is the wave of one. A single query with
 // no deadline is answered on the calling goroutine when a shard is free,
 // without a queue slot (see admit); everything else is served by the
-// shard workers. Whoever serves a
-// query range-checks its vertices against the snapshot it pinned
-// (StatusBadRequest), so a reload to a smaller index cannot slip
-// between check and use. With Options.QueryTimeout set, one deadline
-// bounds the whole call: when it fires, every query still unanswered
-// resolves StatusTimeout and its envelope is left to the worker.
+// shard workers. Whoever serves a query range-checks its vertices
+// against the snapshot it pinned (StatusBadRequest), so a reload to a
+// smaller index cannot slip between check and use. With
+// Options.QueryTimeout set, one deadline bounds the whole call: when it
+// fires, every query still unanswered resolves StatusTimeout and its
+// envelope is left to the worker.
 //
 // A path is appended to rs[i].Path as passed in (callers reusing
 // storage pass it truncated); the other fields of rs[i] are
@@ -634,16 +598,15 @@ func (s *Server) do(reqs []*request, client string, qs []wire.Query, rs []wire.R
 // then r is the caller's to recycle.
 //
 // With self set — a lone query (the wave of one) with no deadline — the
-// query serves itself. It tries its envelope's hint shard, then the
-// neighbour, and on the first that is idle and whose ownership it wins
-// it is served inline as a group of one: no queue slot, no round-robin
+// query tries its envelope's hint shard, then the neighbour, and on the
+// first whose queue is empty and whose lock it gets without waiting it
+// is served inline as a group of one: no queue slot, no round-robin
 // tick, and the merge runs where the answer is awaited, with no hand-off
-// to a worker and back. Only when both shards are busy does it take a
-// slot in the hint shard's queue, and then it still drains that queue
-// itself if it wins the shard. Every other query takes a slot in the
-// round-robin shard and wakes its worker: a wave's queries then run in
-// parallel across the shards, and a deadline is never left waiting
-// behind a merge its own caller runs.
+// to a worker and back. When both shards are busy it takes a slot in the
+// hint shard's queue and wakes the worker, like every other query. The
+// others take a slot in the round-robin shard: a wave's queries then
+// run in parallel across the shards, and a deadline is never left
+// waiting behind a merge its own caller runs.
 func (s *Server) admit(r *request, client string, q *wire.Query, dst []graph.NodeID, deadline <-chan time.Time, self bool) uint8 {
 	// An id no index could hold is refused ahead of admission, the way a
 	// door refuses a line it cannot parse — and the way hubclient must,
@@ -675,14 +638,12 @@ func (s *Server) admit(r *request, client string, q *wire.Query, dst []graph.Nod
 	if self {
 		for k := range uint32(min(2, len(s.shards))) {
 			i := (r.hint + k) % uint32(len(s.shards))
-			if c := s.shards[i]; c.idle() && c.owner.CompareAndSwap(false, true) {
-				// Anything queued meanwhile signalled the worker, whose
-				// turned-away take sets missed for disown to answer.
+			if c := s.shards[i]; len(c.ch) == 0 && c.mu.TryLock() {
 				r.hint = i
 				r.state.Store(stInline)
 				c.reqs[0] = r
 				s.serveGroup(c, 1)
-				c.disown()
+				c.mu.Unlock()
 				return wire.StatusOK
 			}
 		}
@@ -699,16 +660,7 @@ func (s *Server) admit(r *request, client string, q *wire.Query, dst []graph.Nod
 		}
 		return wire.StatusOverloaded
 	}
-	if self && sh.owner.CompareAndSwap(false, true) {
-		// r is still queued unless an earlier owner took it, and an owner
-		// answers all it took before letting go — so either r is already
-		// answered or a group served here reaches it.
-		for r.state.Load() == stPending && s.serveNext(sh) {
-		}
-		sh.disown()
-	} else {
-		sh.signal()
-	}
+	sh.signal()
 	return wire.StatusOK
 }
 
@@ -1093,25 +1045,23 @@ func (s *Server) Close() {
 	}
 }
 
-// run is the shard worker loop: park until signalled, then take the
-// shard, move its pin to the installed snapshot and drain its queue
-// group by group until it is empty. Every request left to the worker
-// was enqueued before its token was sent: if the worker finds the shard
-// owned, the owner wakes it again on hand-back (take, disown), and a
-// request enqueued while the worker itself owned the shard sent a token
-// of its own. All computation and delivery happens inside serveGroup,
-// which contains backend panics — a worker survives any number of
-// faults and keeps draining its queue. Once Close has closed wake no
-// submitter is left to own the shard, and the worker drops its pin.
+// run is the shard worker loop: park until signalled, then lock the
+// shard — waiting out a lone submitter serving itself there — move its
+// pin to the installed snapshot and drain its queue group by group
+// until it is empty. Every queued request sent a token after it was
+// queued, and a woken worker always drains, so none is stranded. All
+// computation and delivery happens inside serveGroup, which contains
+// backend panics — a worker survives any number of faults and keeps
+// draining its queue. Once Close has closed wake no submitter is left
+// to hold the shard, and the worker drops its pin.
 func (s *Server) run(sh *shard) {
 	defer s.wg.Done()
 	for range sh.wake {
-		if sh.take() {
-			s.pinned(sh)
-			for s.serveNext(sh) {
-			}
-			sh.owner.Store(false)
+		sh.mu.Lock()
+		s.pinned(sh)
+		for s.serveNext(sh) {
 		}
+		sh.mu.Unlock()
 	}
 	if sh.snap != nil {
 		sh.snap.unpin()
@@ -1121,7 +1071,7 @@ func (s *Server) run(sh *shard) {
 
 // pinned returns the snapshot the shard serves on, first moving the
 // shard's pin to the installed snapshot if a swap replaced it. The
-// caller must own the shard. pin cannot return nil here: a group is
+// caller must hold sh.mu. pin cannot return nil here: a group is
 // served for submitters holding the close gate, and a worker runs
 // before Close retires the final snapshot.
 func (s *Server) pinned(sh *shard) *snapshot {
@@ -1137,7 +1087,7 @@ func (s *Server) pinned(sh *shard) *snapshot {
 }
 
 // serveNext is the one place a request leaves a shard queue. The
-// caller must own the shard: it takes up to batchSize queued requests
+// caller must hold sh.mu: it takes up to batchSize queued requests
 // without blocking and answers them as one group. It reports false when
 // the queue was empty.
 func (s *Server) serveNext(sh *shard) bool {
@@ -1162,14 +1112,14 @@ coalesce:
 // serveGroup answers the group sh.reqs[:n] on one snapshot, probing the
 // shard's hot cache (when enabled) for distance requests before paying
 // for the merge and feeding computed answers back in, and leaves
-// sh.reqs empty. It runs on whichever goroutine owns the shard — the
-// worker, or a lone submitter serving itself. A panic out of the
-// backend — or an injected worker fault, or a fault on a page of a
-// mapped container that was truncated under the mapping — is recovered
-// here: every undelivered request in the group fails
-// StatusBackendFault (counted in Faulted, the panic event in Panics),
-// completions are still signaled so no caller ever hangs, and the owner
-// carries on.
+// sh.reqs empty. It runs under sh.mu, on the worker or on a lone
+// submitter serving itself, and returns normally whatever the backend
+// does, so its caller always unlocks. A panic out of the backend — or
+// an injected worker fault, or a fault on a page of a mapped container
+// that was truncated under the mapping — is recovered here: every
+// undelivered request in the group fails StatusBackendFault (counted in
+// Faulted, the panic event in Panics), completions are still signaled
+// so no caller ever hangs, and the shard carries on.
 func (s *Server) serveGroup(sh *shard, n int) {
 	// The shard's pin holds the snapshot for the whole group: a
 	// concurrent SwapRetire can replace the pointer at any time, but the
@@ -1219,13 +1169,13 @@ func (s *Server) serveGroup(sh *shard, n int) {
 		sh.reqs[i] = nil
 		if uint32(r.u) >= uint32(snap.n) || (r.kind != wire.QEcc && uint32(r.v) >= uint32(snap.n)) {
 			r.status = wire.StatusBadRequest
-			s.deliver(sh, r)
+			s.deliver(r, &sh.served)
 			continue
 		}
 		if sh.cache != nil && r.kind == wire.QDist {
 			if d, ok := sh.cache.Lookup(hotcache.Key(r.u, r.v)); ok {
 				r.d = d
-				s.deliver(sh, r)
+				s.deliver(r, &sh.served)
 				continue
 			}
 		}
@@ -1270,47 +1220,37 @@ func (s *Server) serveGroup(sh *shard, n int) {
 	// the query as served, and Stats() must not lag behind them.
 	sh.batches.Add(1)
 	for i := 0; i < n; i++ {
-		s.deliver(sh, sh.reqs[i])
+		s.deliver(sh.reqs[i], &sh.served)
 	}
 }
 
-// deliver hands an answered request back to its waiter — unless the
-// waiter abandoned it at the deadline, in which case the shard owner
-// owns the envelope and recycles it. Exactly one of the two happens
-// (the state CAS arbitrates), so a request is counted exactly once and
-// a pooled envelope can never be signaled twice.
-func (s *Server) deliver(sh *shard, r *request) {
+// deliver hands a resolved request back to its waiter, counting it in
+// count (a shard's served counter, or the server's faulted one) —
+// unless the waiter abandoned it at the deadline, in which case the
+// lock holder owns the envelope and recycles it. Exactly one of the two
+// happens (the state CAS arbitrates), so a request is counted exactly
+// once and a pooled envelope can never be signaled twice.
+func (s *Server) deliver(r *request, count *atomic.Uint64) {
 	if deliverHook != nil {
 		deliverHook(r)
 	}
 	switch {
 	case r.state.Load() == stInline:
-		sh.served.Add(1)
+		count.Add(1)
 	case r.state.CompareAndSwap(stPending, stDelivered):
-		sh.served.Add(1)
+		count.Add(1)
 		r.done <- struct{}{}
 	default:
 		s.putRequest(r)
 	}
 }
 
-// failRequest resolves a request StatusBackendFault (or recycles it if
-// its waiter already timed out). The answer fields are forced to the
-// unreachable shape so a half-computed value can never leak into a fault
-// reply.
+// failRequest resolves a request StatusBackendFault. The answer fields
+// are forced to the unreachable shape so a half-computed value can
+// never leak into a fault reply.
 func (s *Server) failRequest(r *request) {
-	r.status = wire.StatusBackendFault
-	r.d = graph.Infinity
-	r.far = -1
-	switch {
-	case r.state.Load() == stInline:
-		s.faulted.Add(1)
-	case r.state.CompareAndSwap(stPending, stDelivered):
-		s.faulted.Add(1)
-		r.done <- struct{}{}
-	default:
-		s.putRequest(r)
-	}
+	r.status, r.d, r.far = wire.StatusBackendFault, graph.Infinity, -1
+	s.deliver(r, &s.faulted)
 }
 
 // serveOne answers a single in-range request of any kind on one
